@@ -52,7 +52,7 @@ fn main() {
         if !matches!(b.name, "swim" | "gemsfdtd" | "applu" | "advect") {
             continue;
         }
-        let ddg = analyze(&b.scop);
+        let ddg = std::sync::Arc::new(analyze(&b.scop));
         let mut base = None;
         let mut row: Vec<(&'static str, Json)> = vec![("bench", Json::str(b.name))];
         print!("{:<10}", b.name);
@@ -72,7 +72,7 @@ fn main() {
             // Wrap into the pipeline's result shape for the model.
             let opt = Optimized {
                 model: Model::Wisefuse,
-                ddg: ddg.clone(),
+                ddg: std::sync::Arc::clone(&ddg),
                 transformed: t,
                 props: p,
                 degraded: None,

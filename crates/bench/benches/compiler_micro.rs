@@ -4,9 +4,10 @@
 
 use wf_benchsuite::{by_name, catalog};
 use wf_deps::{analyze, kosaraju, tarjan};
-use wf_harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use wf_harness::{criterion_group, criterion_main, BenchmarkId, Criterion, SplitMix64, Throughput};
 use wf_linalg::Rat;
-use wf_polyhedra::{fm, solve_ilp, solve_lp, ConstraintSystem, Sense};
+use wf_polyhedra::simplex::solve_lp_work;
+use wf_polyhedra::{fm, solve_ilp, solve_lp, ConstraintSystem, LpWork, Sense};
 use wf_wisefuse::prefusion::algorithm1;
 use wf_wisefuse::{optimize, Model};
 
@@ -25,6 +26,58 @@ fn lp_fixture(n: usize) -> ConstraintSystem {
         cs.add_ge0(row);
     }
     cs
+}
+
+/// A system shaped like the scheduler's: `n_c` bounded schedule
+/// coefficients, `n_l` non-negative Farkas multipliers over sparse seeded
+/// faces, one equality per coefficient, and a non-triviality row.
+fn farkas_fixture(n_c: usize, n_l: usize) -> ConstraintSystem {
+    let mut rng = SplitMix64::new(20140215);
+    let n = n_c + n_l;
+    let mut cs = ConstraintSystem::new(n);
+    for k in 0..n_c {
+        cs.add_lower_bound(k, 0);
+        cs.add_upper_bound(k, 4);
+        let mut row = vec![0i128; n + 1];
+        row[k] = 1;
+        for i in 0..n_l {
+            if rng.gen_below(4) == 0 {
+                row[n_c + i] = rng.gen_i128(-2, 3);
+            }
+        }
+        cs.add_eq0(row);
+    }
+    for i in 0..n_l {
+        cs.add_lower_bound(n_c + i, 0);
+    }
+    let mut nontrivial = vec![0i128; n + 1];
+    nontrivial[..n_c].fill(1);
+    nontrivial[n] = -1;
+    cs.add_ge0(nontrivial);
+    cs
+}
+
+/// Simplex throughput in both currencies, so "cheaper cells" and "fewer
+/// cells" stay separable: logical cells per second (`simplex.cells`, what
+/// budgets and reports count) and performed updates per second
+/// (`simplex.updates`, what the kernel does). Same solve, two annotations;
+/// read `elements_per_sec` of each entry.
+fn bench_simplex_throughput(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simplex_throughput");
+    g.sample_size(10);
+    let (n_c, n_l) = (16, 64);
+    let cs = farkas_fixture(n_c, n_l);
+    let mut obj = vec![Rat::ZERO; n_c + n_l];
+    obj[..n_c].fill(Rat::ONE);
+    let mut work = LpWork::default();
+    let _ = solve_lp_work(&cs, &obj, Sense::Min, &mut work, u64::MAX);
+    for (name, elements) in [("cells_per_s", work.cells), ("updates_per_s", work.updates)] {
+        g.throughput(Throughput::Elements(elements));
+        g.bench_with_input(BenchmarkId::new(name, "farkas16x64"), &cs, |b, cs| {
+            b.iter(|| solve_lp(cs, &obj, Sense::Min));
+        });
+    }
+    g.finish();
 }
 
 fn bench_solvers(c: &mut Criterion) {
@@ -88,5 +141,11 @@ fn bench_scheduling(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_solvers, bench_analysis, bench_scheduling);
+criterion_group!(
+    benches,
+    bench_solvers,
+    bench_simplex_throughput,
+    bench_analysis,
+    bench_scheduling
+);
 criterion_main!(benches);

@@ -54,7 +54,7 @@ fn main() {
     let bench = by_name("advect").expect("advect");
     let scop = &bench.scop;
     let params = &bench.bench_params;
-    let ddg = analyze(scop);
+    let ddg = std::sync::Arc::new(analyze(scop));
     let sccs = tarjan(&ddg);
     let n = sccs.len();
 
@@ -100,7 +100,7 @@ fn main() {
             let partitions = t.partitions.clone();
             let opt = Optimized {
                 model: Model::Wisefuse,
-                ddg: ddg.clone(),
+                ddg: std::sync::Arc::clone(&ddg),
                 transformed: t,
                 props: p,
                 degraded: None,
@@ -134,7 +134,7 @@ fn main() {
     // for wisefuse's own static choice.
     let wise = Optimizer::new(scop)
         .model(Model::Wisefuse)
-        .with_ddg(ddg.clone())
+        .with_ddg(Ddg::clone(&ddg))
         .run()
         .expect("schedulable");
     let plan = wf_wisefuse::plan_from_optimized(scop, &wise);

@@ -1454,6 +1454,7 @@ fn cmd_explain(bench: &Benchmark, opts: &Opts) -> Result<(), WfError> {
         if let Some((a, m)) = &costs {
             j.push("costs", a.to_json());
             j.push("simplex_cells", Json::from(m.counter("simplex.cells")));
+            j.push("simplex_updates", Json::from(m.counter("simplex.updates")));
         }
         println!("{}", j.render());
         return Ok(());
@@ -1487,15 +1488,22 @@ fn cmd_explain(bench: &Benchmark, opts: &Opts) -> Result<(), WfError> {
     );
     if let Some((a, m)) = &costs {
         println!();
-        print_cost_table(a, m.counter("simplex.cells"), 10);
+        print_cost_table(
+            a,
+            m.counter("simplex.cells"),
+            m.counter("simplex.updates"),
+            10,
+        );
     }
     Ok(())
 }
 
 /// The shared "where did the cells go" terminal table: top-`k`
 /// attribution rows by simplex cells, plus the reconciliation line
-/// against the `simplex.cells` counter over the same interval.
-fn print_cost_table(a: &attr::AttrSnapshot, cells_counter: u64, k: usize) {
+/// against the `simplex.cells` counter over the same interval, and how
+/// dense the pivots were: `simplex.updates` (cell updates the kernel
+/// performed) over `simplex.cells` (the logical tableau area it covered).
+fn print_cost_table(a: &attr::AttrSnapshot, cells_counter: u64, updates_counter: u64, k: usize) {
     println!(
         "{:<52} {:>12} {:>10} {:>8} {:>10}",
         "cost center (bench/model/unit/dim)", "cells", "pivots", "solves", "memo hits"
@@ -1523,6 +1531,9 @@ fn print_cost_table(a: &attr::AttrSnapshot, cells_counter: u64, k: usize) {
             "(MISMATCH)"
         }
     );
+    #[allow(clippy::cast_precision_loss)]
+    let density = updates_counter as f64 * 100.0 / cells_counter.max(1) as f64;
+    println!("simplex.updates counter: {updates_counter}   density: {density:.1}% of cells");
 }
 
 /// `wfc profile`: fold a span forest into inclusive/exclusive time per
@@ -1565,90 +1576,96 @@ fn cmd_profile<'a>(
             other => return Err(WfError::invalid(format!("unknown flag '{other}'"))),
         }
     }
-    let (source, prof, attribution, cells_counter, dropped) = match (trace_file, name) {
-        (Some(_), Some(_)) => {
-            return Err(WfError::invalid(
-                "wfc profile takes a benchmark OR --trace FILE, not both",
-            ));
-        }
-        (None, None) => {
-            return Err(WfError::invalid(
-                "wfc profile needs a benchmark name or --trace FILE",
-            ));
-        }
-        (Some(path), None) => {
-            let src = std::fs::read_to_string(&path).map_err(|e| WfError::io(path.as_str(), &e))?;
-            let doc = Json::parse(&src)
-                .map_err(|e| WfError::invalid(format!("{path}: not a trace document: {e}")))?;
-            let events = profile::events_from_trace_json(&doc)
-                .map_err(|e| WfError::invalid(format!("{path}: {e}")))?;
-            let prof = profile::fold(&events);
-            // The trace document carries the attribution table and the
-            // metrics snapshot of the run that produced it, so the cost
-            // table reconciles without re-running anything.
-            let attribution = doc
-                .get("attribution")
-                .map(attr::AttrSnapshot::from_json)
-                .transpose()
-                .map_err(|e| WfError::invalid(format!("{path}: {e}")))?
-                .unwrap_or_default();
-            let cells = doc
-                .get("metrics")
-                .and_then(|m| m.get("counters"))
-                .and_then(|c| c.get("simplex.cells"))
-                .and_then(Json::as_i128)
-                .and_then(|x| u64::try_from(x).ok())
-                .unwrap_or(0);
-            let dropped = doc
-                .get("dropped")
-                .and_then(Json::as_i128)
-                .and_then(|x| u64::try_from(x).ok())
-                .unwrap_or(0);
-            (path, prof, attribution, cells, dropped)
-        }
-        (None, Some(name)) => {
-            let bench = lookup(&name)?;
-            obs::set_enabled(obs::enabled() | obs::TRACE | obs::METRICS);
-            let _ = obs::take_events(); // profile only what runs below
-            let dropped0 = obs::dropped();
-            let m0 = obs::metrics();
-            let a0 = attr::snapshot();
-            // Re-solve every model from scratch (cache off) on the shared
-            // pool, the same shape bench-all drives, so cross-thread span
-            // nesting and per-model cost both show up. The solver memo is
-            // off for the profiled run: the memo is shared across the
-            // concurrently scheduled models, so with it on, thread
-            // interleaving would decide which model pays for a shared LP —
-            // making attribution (and the timing-stripped document) racy.
-            // With it off every model pays its own full cost.
-            let memo_was = wf_polyhedra::memo::enabled();
-            wf_polyhedra::memo::set_enabled(false);
-            let mut optimizer = Optimizer::new(&bench.scop)
-                .threads(ctx.threads())
-                .cache_off()
-                .fallback();
-            for (model, r) in optimizer.run_all() {
-                if let Err(e) = r {
-                    eprintln!("warning: {} failed: {e}", model.name());
-                }
+    let (source, prof, attribution, [cells_counter, updates_counter], dropped) =
+        match (trace_file, name) {
+            (Some(_), Some(_)) => {
+                return Err(WfError::invalid(
+                    "wfc profile takes a benchmark OR --trace FILE, not both",
+                ));
             }
-            wf_polyhedra::memo::set_enabled(memo_was);
-            let events: Vec<profile::ProfEvent> = obs::take_events()
-                .iter()
-                .map(profile::ProfEvent::from)
-                .collect();
-            let prof = profile::fold(&events);
-            let attribution = attr::snapshot().delta(&a0);
-            let cells = obs::metrics().delta(&m0).counter("simplex.cells");
-            (name, prof, attribution, cells, obs::dropped() - dropped0)
-        }
-    };
+            (None, None) => {
+                return Err(WfError::invalid(
+                    "wfc profile needs a benchmark name or --trace FILE",
+                ));
+            }
+            (Some(path), None) => {
+                let src =
+                    std::fs::read_to_string(&path).map_err(|e| WfError::io(path.as_str(), &e))?;
+                let doc = Json::parse(&src)
+                    .map_err(|e| WfError::invalid(format!("{path}: not a trace document: {e}")))?;
+                let events = profile::events_from_trace_json(&doc)
+                    .map_err(|e| WfError::invalid(format!("{path}: {e}")))?;
+                let prof = profile::fold(&events);
+                // The trace document carries the attribution table and the
+                // metrics snapshot of the run that produced it, so the cost
+                // table reconciles without re-running anything.
+                let attribution = doc
+                    .get("attribution")
+                    .map(attr::AttrSnapshot::from_json)
+                    .transpose()
+                    .map_err(|e| WfError::invalid(format!("{path}: {e}")))?
+                    .unwrap_or_default();
+                let counter = |name: &str| {
+                    doc.get("metrics")
+                        .and_then(|m| m.get("counters"))
+                        .and_then(|c| c.get(name))
+                        .and_then(Json::as_i128)
+                        .and_then(|x| u64::try_from(x).ok())
+                        .unwrap_or(0)
+                };
+                let work = [counter("simplex.cells"), counter("simplex.updates")];
+                let dropped = doc
+                    .get("dropped")
+                    .and_then(Json::as_i128)
+                    .and_then(|x| u64::try_from(x).ok())
+                    .unwrap_or(0);
+                (path, prof, attribution, work, dropped)
+            }
+            (None, Some(name)) => {
+                let bench = lookup(&name)?;
+                obs::set_enabled(obs::enabled() | obs::TRACE | obs::METRICS);
+                let _ = obs::take_events(); // profile only what runs below
+                let dropped0 = obs::dropped();
+                let m0 = obs::metrics();
+                let a0 = attr::snapshot();
+                // Re-solve every model from scratch (cache off) on the shared
+                // pool, the same shape bench-all drives, so cross-thread span
+                // nesting and per-model cost both show up. The solver memo is
+                // off for the profiled run: the memo is shared across the
+                // concurrently scheduled models, so with it on, thread
+                // interleaving would decide which model pays for a shared LP —
+                // making attribution (and the timing-stripped document) racy.
+                // With it off every model pays its own full cost.
+                let memo_was = wf_polyhedra::memo::enabled();
+                wf_polyhedra::memo::set_enabled(false);
+                let mut optimizer = Optimizer::new(&bench.scop)
+                    .threads(ctx.threads())
+                    .cache_off()
+                    .fallback();
+                for (model, r) in optimizer.run_all() {
+                    if let Err(e) = r {
+                        eprintln!("warning: {} failed: {e}", model.name());
+                    }
+                }
+                wf_polyhedra::memo::set_enabled(memo_was);
+                let events: Vec<profile::ProfEvent> = obs::take_events()
+                    .iter()
+                    .map(profile::ProfEvent::from)
+                    .collect();
+                let prof = profile::fold(&events);
+                let attribution = attr::snapshot().delta(&a0);
+                let m = obs::metrics().delta(&m0);
+                let work = [m.counter("simplex.cells"), m.counter("simplex.updates")];
+                (name, prof, attribution, work, obs::dropped() - dropped0)
+            }
+        };
     let attributed = attribution.total_cells();
     if json {
         let mut j = prof.to_json();
         j.push("source", Json::str(source.as_str()));
         j.push("attribution", attribution.to_json());
         j.push("simplex_cells", Json::from(cells_counter));
+        j.push("simplex_updates", Json::from(updates_counter));
         j.push("attributed_cells", Json::from(attributed));
         j.push("reconciled", Json::from(attributed == cells_counter));
         j.push("dropped", Json::from(dropped));
@@ -1697,7 +1714,7 @@ fn cmd_profile<'a>(
         );
     }
     println!();
-    print_cost_table(&attribution, cells_counter, top);
+    print_cost_table(&attribution, cells_counter, updates_counter, top);
     Ok(())
 }
 

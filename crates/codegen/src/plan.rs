@@ -289,6 +289,10 @@ pub fn build_plan_with_layout(
                     "{}: unbounded execution dimension {d}",
                     st.name
                 );
+                // Plans are long-lived; a one- or two-entry bound list
+                // pushed into a fresh `Vec` would otherwise hold four slots.
+                bounds[d].lowers.shrink_to_fit();
+                bounds[d].uppers.shrink_to_fit();
                 cur = fm::eliminate_var(&cur, d);
             }
 

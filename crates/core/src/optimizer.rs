@@ -55,6 +55,7 @@
 
 use crate::cache::{self, Fingerprint};
 use crate::pipeline::{self, Model, Optimized};
+use std::sync::Arc;
 use wf_deps::{analyze, Ddg};
 use wf_harness::{fault, pool, WfError};
 use wf_schedule::PlutoConfig;
@@ -66,7 +67,7 @@ pub struct Optimizer<'a> {
     scop: &'a Scop,
     model: Model,
     config: PlutoConfig,
-    ddg: Option<Ddg>,
+    ddg: Option<Arc<Ddg>>,
     /// Worker count for `run_all`; `None` defers to `WF_THREADS`.
     threads: Option<usize>,
     /// Consult/populate the process-wide schedule cache?
@@ -176,16 +177,19 @@ impl<'a> Optimizer<'a> {
     /// cache simulator), skipping the analysis entirely.
     #[must_use]
     pub fn with_ddg(mut self, ddg: Ddg) -> Optimizer<'a> {
-        self.ddg = Some(ddg);
+        self.ddg = Some(Arc::new(ddg));
         self
     }
 
     /// The dependence graph, computing and caching it on first call.
     pub fn ddg(&mut self) -> &Ddg {
-        if self.ddg.is_none() {
-            self.ddg = Some(analyze(self.scop));
-        }
-        self.ddg.as_ref().expect("just populated")
+        self.shared_ddg()
+    }
+
+    /// [`ddg`](Optimizer::ddg) as the handle every [`Optimized`] of this
+    /// SCoP shares.
+    fn shared_ddg(&mut self) -> &Arc<Ddg> {
+        self.ddg.get_or_insert_with(|| Arc::new(analyze(self.scop)))
     }
 
     /// Cache fingerprint for `model` under the current config, or `None`
@@ -216,13 +220,12 @@ impl<'a> Optimizer<'a> {
     pub fn run_model(&mut self, model: Model) -> Result<Optimized, WfError> {
         let key = self.fingerprint(model);
         let (fallback, check) = (self.fallback, self.check_legality);
-        self.ddg();
-        let ddg = self.ddg.as_ref().expect("cached by ddg()");
+        let ddg = Arc::clone(self.shared_ddg());
         degrade(
-            run_one(self.scop, ddg, model, &self.config, key, check),
+            run_one(self.scop, &ddg, model, &self.config, key, check),
             fallback,
             self.scop,
-            ddg,
+            &ddg,
             model,
         )
     }
@@ -249,8 +252,7 @@ impl<'a> Optimizer<'a> {
             .map(|m| self.fingerprint(m))
             .collect();
         let (fallback, check) = (self.fallback, self.check_legality);
-        self.ddg();
-        let ddg = self.ddg.as_ref().expect("cached by ddg()");
+        let ddg = &Arc::clone(self.shared_ddg());
         let (scop, config) = (self.scop, &self.config);
         let slots = pool::global().try_scope(threads, Model::ALL.len(), |i| {
             fault::maybe_panic("optimizer.model_job");
@@ -280,7 +282,7 @@ fn degrade(
     r: Result<Optimized, WfError>,
     fallback: bool,
     scop: &Scop,
-    ddg: &Ddg,
+    ddg: &Arc<Ddg>,
     model: Model,
 ) -> Result<Optimized, WfError> {
     match r {
@@ -293,13 +295,13 @@ fn degrade(
 /// no-fusion schedule (what the icc baseline model computes), which is
 /// infallible and trivially legal. `degraded` records why it was
 /// substituted; the result is never written to the schedule cache.
-fn fallback_optimized(scop: &Scop, ddg: &Ddg, model: Model, cause: &WfError) -> Optimized {
+fn fallback_optimized(scop: &Scop, ddg: &Arc<Ddg>, model: Model, cause: &WfError) -> Optimized {
     wf_harness::obs::add("optimizer.degraded", 1);
     let transformed = crate::icc::icc_schedule(scop, ddg);
     let props = pipeline::analyze_props(scop, ddg, model, &transformed);
     Optimized {
         model,
-        ddg: ddg.clone(),
+        ddg: Arc::clone(ddg),
         transformed,
         props,
         degraded: Some(format!(
@@ -319,13 +321,13 @@ fn fallback_optimized(scop: &Scop, ddg: &Ddg, model: Model, cause: &WfError) -> 
 /// [`WfError::IllegalSchedule`].
 fn run_one(
     scop: &Scop,
-    ddg: &Ddg,
+    ddg: &Arc<Ddg>,
     model: Model,
     config: &PlutoConfig,
     key: Option<Fingerprint>,
     check_legality: bool,
 ) -> Result<Optimized, WfError> {
-    let schedule = |scop, ddg, model, config| -> Result<_, WfError> {
+    let schedule = |scop, ddg: &Ddg, model, config| -> Result<_, WfError> {
         Ok(pipeline::schedule_model(scop, ddg, model, config)?)
     };
     let transformed = match key {
@@ -351,7 +353,7 @@ fn run_one(
     let props = pipeline::analyze_props(scop, ddg, model, &transformed);
     Ok(Optimized {
         model,
-        ddg: ddg.clone(),
+        ddg: Arc::clone(ddg),
         transformed,
         props,
         degraded: None,

@@ -2,6 +2,7 @@
 //! scheduling → loop-property analysis.
 
 use crate::{icc::icc_schedule, Wisefuse};
+use std::sync::Arc;
 use wf_codegen::ExecPlan;
 use wf_deps::Ddg;
 use wf_harness::WfError;
@@ -54,8 +55,9 @@ impl Model {
 pub struct Optimized {
     /// The model that produced it.
     pub model: Model,
-    /// The dependence graph (shared across models of one SCoP).
-    pub ddg: Ddg,
+    /// The dependence graph: one allocation shared by every model's
+    /// result for the SCoP (cloning an `Optimized` does not copy it).
+    pub ddg: Arc<Ddg>,
     /// Schedule + satisfaction bookkeeping.
     pub transformed: Transformed,
     /// `props[dim][stmt]`: parallelism classification of loop dims.

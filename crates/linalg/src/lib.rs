@@ -14,9 +14,13 @@
 //!   reduced row echelon form, inversion, linear solving and integer-scaled
 //!   kernel (null-space) bases.
 //!
-//! The polyhedra in this project are small (loop depths ≤ 4, dozens of
-//! constraints), so `i128` headroom is ample; all arithmetic panics loudly on
-//! overflow rather than silently wrapping.
+//! The polyhedra themselves are small (loop depths ≤ 4), but the Farkas
+//! systems the scheduler builds from them reach hundreds of rows by over a
+//! thousand columns, and exact simplex on those is where a cold compile
+//! spends its time: `Rat`'s integer fast paths, [`Rat::sub_mul`] and the
+//! 64-bit [`gcd`] path exist for that loop. Tableau entries stay far inside
+//! `i128`; all arithmetic panics loudly on overflow rather than silently
+//! wrapping.
 
 #![allow(clippy::needless_range_loop)] // index-style is clearer for matrix/tableau code
 #![warn(missing_docs)]
@@ -29,16 +33,32 @@ pub use rat::Rat;
 
 /// Greatest common divisor of two integers; `gcd(0, 0) == 0`.
 ///
-/// Always returns a non-negative value.
+/// Always returns a non-negative value. Euclid's remainders never exceed
+/// the smaller operand, so as soon as both magnitudes fit in 64 bits —
+/// immediately for essentially every tableau entry, after one step when
+/// only one operand is wide — the loop continues on hardware `u64`
+/// division instead of the software `u128` remainder.
+///
+/// # Panics
+/// Panics if the result is `2^127` (only `gcd(i128::MIN, 0)` and
+/// `gcd(i128::MIN, i128::MIN)`), which `i128` cannot hold.
 #[must_use]
 pub fn gcd(a: i128, b: i128) -> i128 {
     let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        if let (Ok(x), Ok(y)) = (u64::try_from(a), u64::try_from(b)) {
+            return i128::from(gcd_u64(x, y));
+        }
+        (a, b) = (b, a % b);
     }
     i128::try_from(a).expect("gcd overflow")
+}
+
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Least common multiple; `lcm(0, x) == 0`.
@@ -98,6 +118,75 @@ mod tests {
         assert_eq!(gcd(0, 0), 0);
         assert_eq!(gcd(1, 1), 1);
         assert_eq!(gcd(i128::MIN + 1, 1), 1);
+    }
+
+    /// The plain `u128` Euclid loop `gcd` was before it gained the 64-bit
+    /// path; the reference the fast path must agree with.
+    fn gcd_u128_only(a: i128, b: i128) -> i128 {
+        let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        i128::try_from(a).expect("gcd overflow")
+    }
+
+    #[test]
+    fn gcd_paths_agree_at_the_width_boundaries() {
+        let edges = [
+            0,
+            1,
+            2,
+            6,
+            i128::from(u32::MAX),
+            i128::from(u64::MAX) - 1,
+            i128::from(u64::MAX),
+            i128::from(u64::MAX) + 1,
+            (i128::from(u64::MAX) + 1) * 6,
+            3 * (1i128 << 100),
+            (1i128 << 126) + 2,
+            i128::MAX - 1,
+            i128::MAX,
+            i128::MIN + 2,
+            i128::MIN + 1,
+        ];
+        for &a in &edges {
+            for &b in &edges {
+                for (x, y) in [(a, b), (-a, b), (a, -b), (-a, -b)] {
+                    assert_eq!(gcd(x, y), gcd_u128_only(x, y), "gcd({x}, {y})");
+                }
+            }
+            // 2^127 itself is fine as an operand whenever the result fits.
+            if a != 0 {
+                assert_eq!(gcd(i128::MIN, a), gcd_u128_only(i128::MIN, a));
+                assert_eq!(gcd(a, i128::MIN), gcd_u128_only(a, i128::MIN));
+            }
+        }
+        assert_eq!(gcd(i128::MIN, 6), 2);
+        assert_eq!(gcd(i128::from(u64::MAX) + 1, 1 << 20), 1 << 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "gcd overflow")]
+    fn gcd_of_min_and_zero_still_overflows() {
+        let _ = gcd(i128::MIN, 0);
+    }
+
+    wf_harness::props! {
+        /// Operands built as `g * x`, `g * y` across every width mix: both
+        /// narrow (pure `u64` path), one wide (one `u128` step, then
+        /// `u64`), both wide (`u128` steps first).
+        #[test]
+        fn prop_gcd_paths_agree(
+            g in 1i128..1_000_000,
+            x in 0i128..(1i128 << 100),
+            y in 0i128..(1i128 << 100),
+            shifts in (0u32..101, 0u32..101),
+        ) {
+            let (a, b) = (g * (x >> shifts.0), -g * (y >> shifts.1));
+            let got = gcd(a, b);
+            wf_harness::prop_assert_eq!(got, gcd_u128_only(a, b));
+            wf_harness::prop_assert_eq!(got % g, 0);
+        }
     }
 
     #[test]

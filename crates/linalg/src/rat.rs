@@ -125,6 +125,38 @@ impl Rat {
         self.num as f64 / self.den as f64
     }
 
+    /// `self - f * b` — the simplex cell update — as one fused operation.
+    ///
+    /// Always equal to the two-operator expression, including when and how
+    /// it panics: all-integer operands take one checked multiply and one
+    /// checked add; otherwise the unreduced numerator and denominator are
+    /// formed and normalised once (one gcd instead of five). Only if an
+    /// unreduced intermediate leaves `i128` does the operator path, which
+    /// reduces as it goes, decide the outcome.
+    #[must_use]
+    pub fn sub_mul(self, f: Rat, b: Rat) -> Rat {
+        self.sub_mul_fused(f, b).unwrap_or_else(|| self - f * b)
+    }
+
+    fn sub_mul_fused(self, f: Rat, b: Rat) -> Option<Rat> {
+        // -(f * b) as the unreduced `pn / pd`.
+        let pn = f.num.checked_mul(b.num)?.checked_neg()?;
+        let pd = f.den.checked_mul(b.den)?;
+        if self.den == 1 && pd == 1 {
+            return Some(Rat::int(self.num.checked_add(pn)?));
+        }
+        let num = self
+            .num
+            .checked_mul(pd)?
+            .checked_add(pn.checked_mul(self.den)?)?;
+        let den = self.den.checked_mul(pd)?;
+        let g = gcd(num, den);
+        Some(Rat {
+            num: num / g,
+            den: den / g,
+        })
+    }
+
     fn checked_mul_i(a: i128, b: i128) -> i128 {
         a.checked_mul(b).expect("Rat: multiplication overflow")
     }
@@ -157,6 +189,10 @@ impl From<i32> for Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            let num = self.num.checked_add(rhs.num);
+            return Rat::int(num.expect("Rat: addition overflow"));
+        }
         // Cross-reduce first to tame intermediate growth.
         let g = gcd(self.den, rhs.den);
         let (d1, d2) = (self.den / g, rhs.den / g);
@@ -164,7 +200,14 @@ impl Add for Rat {
             .checked_add(Rat::checked_mul_i(rhs.num, d1))
             .expect("Rat: addition overflow");
         let den = Rat::checked_mul_i(self.den, d2);
-        Rat::new(num, den)
+        // `den` is the lcm of two denominators coprime to their numerators,
+        // so any factor `num` shares with it already divides `g`
+        // (Knuth 4.5.1): normalise against `g`, not the much larger `den`.
+        let g = if g == 1 { 1 } else { gcd(num, g) };
+        Rat {
+            num: num / g,
+            den: den / g,
+        }
     }
 }
 
@@ -178,12 +221,17 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
-        // Cross-cancel before multiplying.
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::int(Rat::checked_mul_i(self.num, rhs.num));
+        }
+        // Cross-cancel before multiplying; both operands are in lowest
+        // terms, so the product then is too and needs no further gcd.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
-        let num = Rat::checked_mul_i(self.num / g1, rhs.num / g2);
-        let den = Rat::checked_mul_i(self.den / g2, rhs.den / g1);
-        Rat::new(num, den)
+        Rat {
+            num: Rat::checked_mul_i(self.num / g1, rhs.num / g2),
+            den: Rat::checked_mul_i(self.den / g2, rhs.den / g1),
+        }
     }
 }
 
@@ -336,11 +384,111 @@ mod tests {
         assert_eq!(s, Rat::ONE);
     }
 
+    /// `+` as it was before the integer fast path and the reduced final
+    /// gcd: cross-reduce, then `Rat::new` on the full numerator/denominator.
+    fn textbook_add(a: Rat, b: Rat) -> Rat {
+        let g = gcd(a.den, b.den);
+        let (d1, d2) = (a.den / g, b.den / g);
+        let num = Rat::checked_mul_i(a.num, d2)
+            .checked_add(Rat::checked_mul_i(b.num, d1))
+            .expect("Rat: addition overflow");
+        Rat::new(num, Rat::checked_mul_i(a.den, d2))
+    }
+
+    /// `*` as it was: cross-cancel, multiply, `Rat::new`.
+    fn textbook_mul(a: Rat, b: Rat) -> Rat {
+        let g1 = gcd(a.num, b.den);
+        let g2 = gcd(b.num, a.den);
+        Rat::new(
+            Rat::checked_mul_i(a.num / g1, b.num / g2),
+            Rat::checked_mul_i(a.den / g2, b.den / g1),
+        )
+    }
+
+    /// Operands that hit every branch: integers and fractions, zero, and
+    /// magnitudes from a few bits to ~2^46 — past the `u64` gcd path, and
+    /// as far as three-operand products stay inside `i128` on every path.
+    fn arb_mixed_rat() -> impl Strategy<Value = Rat> {
+        (-1000i128..1000, 1i128..1000, 0usize..4, 0u32..37).prop_map(|(n, d, shape, shift)| {
+            match shape {
+                0 => Rat::int(n),
+                1 => Rat::new(n, d),
+                2 => Rat::int(n << shift),
+                _ => Rat::new((n << shift) + 1, d << (shift / 2)),
+            }
+        })
+    }
+
+    #[test]
+    fn fast_paths_keep_the_overflow_boundary() {
+        let max = Rat::int(i128::MAX);
+        assert_eq!(max + Rat::ZERO, max);
+        assert_eq!(Rat::int(i128::MAX - 1) + Rat::ONE, max);
+        assert_eq!(max * Rat::ONE, max);
+        assert_eq!(
+            Rat::int(i128::MAX / 2) * Rat::int(2),
+            Rat::int(i128::MAX - 1)
+        );
+        assert_eq!(max.sub_mul(Rat::ONE, Rat::ONE), Rat::int(i128::MAX - 1));
+        assert_eq!(Rat::int(i128::MAX - 1).sub_mul(-Rat::ONE, Rat::ONE), max);
+        // Fused intermediates overflow, the reduced ones do not.
+        let big = Rat::new(1i128 << 100, 3);
+        assert_eq!(
+            big.sub_mul(Rat::new(1i128 << 90, 3), Rat::new(3, 1i128 << 80)),
+            big - Rat::int(1 << 10)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat: addition overflow")]
+    fn integer_add_overflow_message_unchanged() {
+        let _ = Rat::int(i128::MAX) + Rat::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat: addition overflow")]
+    fn fractional_add_overflow_message_unchanged() {
+        let _ = Rat::new(i128::MAX, 2) + Rat::new(i128::MAX, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat: multiplication overflow")]
+    fn integer_mul_overflow_message_unchanged() {
+        let _ = Rat::int(i128::MAX / 2 + 1) * Rat::int(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat: addition overflow")]
+    fn sub_mul_add_overflow_message_unchanged() {
+        let _ = Rat::int(i128::MAX).sub_mul(-Rat::ONE, Rat::ONE);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat: multiplication overflow")]
+    fn sub_mul_mul_overflow_message_unchanged() {
+        let _ = Rat::ZERO.sub_mul(Rat::int(i128::MAX), Rat::int(2));
+    }
+
     fn arb_rat() -> impl Strategy<Value = Rat> {
         (-1000i128..1000, 1i128..1000).prop_map(|(n, d)| Rat::new(n, d))
     }
 
     props! {
+        #[test]
+        fn prop_fast_paths_equal_textbook(
+            a in arb_mixed_rat(),
+            f in arb_mixed_rat(),
+            b in arb_mixed_rat(),
+        ) {
+            prop_assert_eq!(a + b, textbook_add(a, b));
+            prop_assert_eq!(a - b, textbook_add(a, -b));
+            prop_assert_eq!(f * b, textbook_mul(f, b));
+            let want = textbook_add(a, -textbook_mul(f, b));
+            prop_assert_eq!(a.sub_mul(f, b), want);
+            prop_assert_eq!(want.den() > 0, true);
+            prop_assert_eq!(crate::gcd(want.num(), want.den()), 1);
+        }
+
         #[test]
         fn prop_add_commutative(a in arb_rat(), b in arb_rat()) {
             prop_assert_eq!(a + b, b + a);

@@ -12,7 +12,7 @@
 //! system, which is input-dependent territory for `.wfs` files.
 
 use crate::constraint::ConstraintSystem;
-use crate::simplex::{solve_lp_measured, LpResult, Sense};
+use crate::simplex::{solve_lp_work, LpResult, LpWork, Sense};
 use std::time::Instant;
 use wf_harness::attr;
 use wf_harness::fault::{self, FaultKind};
@@ -24,14 +24,20 @@ use wf_linalg::Rat;
 /// off). The attribution tally receives the *same* `cells`/`pivots`
 /// values as the counters, from the same call — that is what makes the
 /// per-edge cost table reconcile exactly with `simplex.cells`.
-fn record_solve(nodes: usize, pivots: u64, cells: u64, err: Option<&IlpError>) {
+fn record_solve(nodes: usize, work: LpWork, err: Option<&IlpError>) {
     if !obs::metrics_on() {
         return;
     }
+    let LpWork {
+        pivots,
+        cells,
+        updates,
+    } = work;
     obs::add("ilp.solves", 1);
     obs::add("ilp.nodes", nodes as u64);
     obs::add("simplex.pivots", pivots);
     obs::add("simplex.cells", cells);
+    obs::add("simplex.updates", updates);
     attr::record_solve(cells, pivots);
     obs::observe("ilp.nodes_per_solve", nodes as u64);
     obs::observe("ilp.pivots_per_solve", pivots);
@@ -265,11 +271,10 @@ pub fn try_ilp_feasible(
         let mut span = wf_harness::span!("ilp.feasible");
         attr::annotate_span(&mut span);
         let mut nodes = 0usize;
-        let mut pivots = 0u64;
-        let mut cells = 0u64;
-        let out = feasible_counted(cs, budget, &mut nodes, &mut pivots, &mut cells);
-        record_solve(nodes, pivots, cells, out.as_ref().err());
-        span.arg("cells", cells.to_string());
+        let mut work = LpWork::default();
+        let out = feasible_counted(cs, budget, &mut nodes, &mut work);
+        record_solve(nodes, work, out.as_ref().err());
+        span.arg("cells", work.cells.to_string());
         out
     })
 }
@@ -278,17 +283,16 @@ fn feasible_counted(
     cs: &ConstraintSystem,
     budget: &IlpBudget,
     nodes: &mut usize,
-    pivots: &mut u64,
-    cells: &mut u64,
+    work: &mut LpWork,
 ) -> Result<Option<Vec<i128>>, IlpError> {
     let mut stack = vec![cs.clone()];
     let obj = vec![Rat::ZERO; cs.n_vars];
     let t0 = Instant::now();
     while let Some(node) = stack.pop() {
         *nodes += 1;
-        check_budget(budget, *nodes, *pivots, *cells, &t0)?;
-        let remaining = budget.max_cells.saturating_sub(*cells);
-        match solve_lp_measured(&node, &obj, Sense::Min, pivots, cells, remaining) {
+        check_budget(budget, *nodes, work, &t0)?;
+        let remaining = budget.max_cells.saturating_sub(work.cells);
+        match solve_lp_work(&node, &obj, Sense::Min, work, remaining) {
             LpResult::Infeasible => {}
             LpResult::Exhausted => {
                 return Err(IlpError::CellBudget {
@@ -389,8 +393,7 @@ pub fn lexmin_budgeted(
 fn check_budget(
     budget: &IlpBudget,
     nodes: usize,
-    pivots: u64,
-    cells: u64,
+    work: &LpWork,
     t0: &Instant,
 ) -> Result<(), IlpError> {
     if nodes == 1 && fault::should_inject("ilp.solve", FaultKind::Budget) {
@@ -403,12 +406,12 @@ fn check_budget(
             limit: budget.max_nodes,
         });
     }
-    if pivots > budget.max_pivots {
+    if work.pivots > budget.max_pivots {
         return Err(IlpError::PivotBudget {
             limit: budget.max_pivots,
         });
     }
-    if cells > budget.max_cells {
+    if work.cells > budget.max_cells {
         return Err(IlpError::CellBudget {
             limit: budget.max_cells,
         });
@@ -431,30 +434,19 @@ pub fn solve_ilp_budgeted(
     budget: &IlpBudget,
 ) -> Result<IlpResult, IlpError> {
     let mut nodes = 0usize;
-    let mut pivots = 0u64;
-    let mut cells = 0u64;
-    let out = solve_counted(
-        cs,
-        objective,
-        sense,
-        budget,
-        &mut nodes,
-        &mut pivots,
-        &mut cells,
-    );
-    record_solve(nodes, pivots, cells, out.as_ref().err());
+    let mut work = LpWork::default();
+    let out = solve_counted(cs, objective, sense, budget, &mut nodes, &mut work);
+    record_solve(nodes, work, out.as_ref().err());
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn solve_counted(
     cs: &ConstraintSystem,
     objective: &[i128],
     sense: Sense,
     budget: &IlpBudget,
     nodes: &mut usize,
-    pivots: &mut u64,
-    cells: &mut u64,
+    work: &mut LpWork,
 ) -> Result<IlpResult, IlpError> {
     assert_eq!(objective.len(), cs.n_vars, "objective arity mismatch");
     let minimize: Vec<i128> = match sense {
@@ -467,9 +459,9 @@ fn solve_counted(
     let t0 = Instant::now();
     while let Some(node) = stack.pop() {
         *nodes += 1;
-        check_budget(budget, *nodes, *pivots, *cells, &t0)?;
-        let remaining = budget.max_cells.saturating_sub(*cells);
-        match solve_lp_measured(&node, &obj_rat, Sense::Min, pivots, cells, remaining) {
+        check_budget(budget, *nodes, work, &t0)?;
+        let remaining = budget.max_cells.saturating_sub(work.cells);
+        match solve_lp_work(&node, &obj_rat, Sense::Min, work, remaining) {
             LpResult::Infeasible => {}
             LpResult::Unbounded => return Ok(IlpResult::Unbounded),
             LpResult::Exhausted => {

@@ -38,4 +38,4 @@ pub use ilp::{
     IlpBudget, IlpError, IlpResult,
 };
 pub use poly::{PolyError, Polyhedron};
-pub use simplex::{solve_lp, solve_lp_counted, LpResult, Sense};
+pub use simplex::{solve_lp, LpResult, LpWork, Sense};

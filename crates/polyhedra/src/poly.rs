@@ -170,20 +170,40 @@ impl Polyhedron {
         }
     }
 
-    /// Enumerate all integer points (test and reference-execution helper).
+    /// Enumerate all integer points (test helper): [`for_each_point`]
+    /// collected into a vector.
+    ///
+    /// [`for_each_point`]: Polyhedron::for_each_point
     ///
     /// # Errors
     /// [`PolyError::Unbounded`] if some variable has no finite extremum,
     /// [`PolyError::TooManyPoints`] if more than `limit` points would be
     /// produced.
     pub fn enumerate(&self, limit: usize) -> Result<Vec<Vec<i128>>, PolyError> {
+        let mut out = Vec::new();
+        self.for_each_point(limit, |p| out.push(p.to_vec()))?;
+        Ok(out)
+    }
+
+    /// Call `visit` on every integer point, in lexicographic order, without
+    /// materializing them (the reference executor walks domains of 10^5
+    /// and more instances).
+    ///
+    /// # Errors
+    /// [`PolyError::Unbounded`] if some variable has no finite extremum
+    /// (before any point is visited), [`PolyError::TooManyPoints`] on
+    /// reaching point `limit + 1` (after the first `limit` were visited).
+    pub fn for_each_point(
+        &self,
+        limit: usize,
+        mut visit: impl FnMut(&[i128]),
+    ) -> Result<(), PolyError> {
         let n = self.cs.n_vars;
         if n == 0 {
-            return Ok(if self.is_empty_rational() {
-                vec![]
-            } else {
-                vec![vec![]]
-            });
+            if !self.is_empty_rational() {
+                visit(&[]);
+            }
+            return Ok(());
         }
         // Per-variable bounding box via LP.
         let mut lo = Vec::with_capacity(n);
@@ -192,24 +212,25 @@ impl Polyhedron {
             let mut e = vec![0i128; n + 1];
             e[v] = 1;
             match self.min_affine(&e) {
-                Extremum::Empty => return Ok(vec![]),
+                Extremum::Empty => return Ok(()),
                 Extremum::Unbounded => return Err(PolyError::Unbounded { var: v }),
                 Extremum::Value(r) => lo.push(r.ceil()),
             }
             match self.max_affine(&e) {
-                Extremum::Empty => return Ok(vec![]),
+                Extremum::Empty => return Ok(()),
                 Extremum::Unbounded => return Err(PolyError::Unbounded { var: v }),
                 Extremum::Value(r) => hi.push(r.floor()),
             }
         }
-        let mut out = Vec::new();
+        let mut visited = 0usize;
         let mut point = lo.clone();
         'outer: loop {
             if self.contains(&point) {
-                if out.len() >= limit {
+                if visited >= limit {
                     return Err(PolyError::TooManyPoints { limit });
                 }
-                out.push(point.clone());
+                visited += 1;
+                visit(&point);
             }
             // Odometer increment.
             for v in (0..n).rev() {
@@ -223,7 +244,7 @@ impl Polyhedron {
             }
             break;
         }
-        Ok(out)
+        Ok(())
     }
 }
 

@@ -2,9 +2,19 @@
 //!
 //! All variables of the input [`ConstraintSystem`] are *free* (they may take
 //! negative values); internally each is split into a difference of two
-//! non-negative variables. Bland's pivoting rule guarantees termination
-//! (no cycling) at the cost of speed — fine for the small systems produced
-//! by the scheduler.
+//! non-negative variables. Entering columns are chosen by Dantzig's rule
+//! (most negative reduced cost), switching permanently to Bland's rule after
+//! a degeneracy budget so that termination is guaranteed.
+//!
+//! This is the hot loop of a cold compile: the scheduler's Farkas systems
+//! give tableaux of hundreds of rows by over a thousand columns, of which a
+//! pivot row is typically ~15 % nonzero. A pivot therefore touches only the
+//! nonzero columns of the scaled pivot row, in only the rows whose
+//! pivot-column entry is nonzero — every skipped update is `x - f * 0` or
+//! `x - 0 * b`, so each tableau value, and with it every pivot choice and
+//! every result, is the one the textbook dense update computes (the dense
+//! update is kept under `#[cfg(test)]` and compared against on every solve
+//! of a property test).
 //!
 //! No floating point is used anywhere: infeasibility / unboundedness /
 //! optimality verdicts are exact, which the legality analysis depends on.
@@ -35,9 +45,9 @@ pub enum LpResult {
         /// A point attaining it (one per original variable).
         point: Vec<Rat>,
     },
-    /// The cell-update limit passed to [`solve_lp_measured`] was exhausted
+    /// The cell-update limit passed to [`solve_lp_work`] was exhausted
     /// mid-solve; no verdict. Only produced under a finite limit — plain
-    /// [`solve_lp`] / [`solve_lp_counted`] never return this.
+    /// [`solve_lp`] never returns this.
     Exhausted,
 }
 
@@ -61,6 +71,24 @@ impl LpResult {
     }
 }
 
+/// Work accounting accumulated over one or more LP solves.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct LpWork {
+    /// Simplex pivots, both phases.
+    pub pivots: u64,
+    /// Logical cell updates: `(rows + 1) * cols` per pivot, the tableau
+    /// area, whatever the entries are. Deterministic and independent of
+    /// how the pivot is carried out, so budgets ([`solve_lp_work`]'s
+    /// `cell_limit`), memo keys and reports built on it never move when
+    /// the kernel changes.
+    pub cells: u64,
+    /// Cell updates actually performed: per pivot, the nonzero entries of
+    /// the pivot row times the rows it was applied to (itself, every row
+    /// with a nonzero pivot-column entry, and the reduced-cost row
+    /// likewise). `updates / cells` is the density the kernel exploits.
+    pub updates: u64,
+}
+
 /// Dense simplex tableau in standard equality form `T y = rhs`, `y >= 0`.
 struct Tableau {
     /// `rows x cols` constraint coefficients.
@@ -75,7 +103,7 @@ struct Tableau {
     basis: Vec<usize>,
     cols: usize,
     /// Total pivots performed over the tableau's lifetime (both phases);
-    /// the ILP's pivot budget reads this through [`solve_lp_counted`].
+    /// the ILP's pivot budget reads this through [`LpWork::pivots`].
     n_pivots: u64,
     /// Total tableau *cell updates* over the lifetime: each pivot costs
     /// `(rows + 1) * cols` whether or not individual entries short-circuit
@@ -84,6 +112,8 @@ struct Tableau {
     /// — a pivot on a 300x700 exact-rational tableau is ~1000x a pivot on
     /// a 20x60 one — and the ILP's work budget needs the honest number.
     n_cells: u64,
+    /// Cell updates actually performed (see [`LpWork::updates`]).
+    n_updates: u64,
     /// Abort the solve once `n_cells` exceeds this (checked per pivot, so a
     /// single runaway LP cannot overshoot by more than one pivot's area).
     /// `u64::MAX` = unlimited.
@@ -102,8 +132,54 @@ impl Tableau {
     fn pivot(&mut self, row: usize, col: usize) {
         self.n_pivots += 1;
         self.n_cells += (self.t.len() as u64 + 1) * self.cols as u64;
+        #[cfg(test)]
+        if tests::DENSE_REFERENCE.get() {
+            return self.pivot_dense(row, col);
+        }
+        let inv = self.t[row][col].recip();
+        // The scaled pivot row's nonzero (column, value) pairs.
+        let mut nz = Vec::with_capacity(self.cols);
+        for (j, x) in self.t[row].iter_mut().enumerate() {
+            if !x.is_zero() {
+                *x *= inv;
+                nz.push((j, *x));
+            }
+        }
+        let pivot_rhs = self.rhs[row] * inv;
+        self.rhs[row] = pivot_rhs;
+        let mut rows_touched = 1u64;
+        for (i, r) in self.t.iter_mut().enumerate() {
+            let f = r[col];
+            if i == row || f.is_zero() {
+                continue;
+            }
+            rows_touched += 1;
+            for &(j, b) in &nz {
+                r[j] = r[j].sub_mul(f, b);
+            }
+            if !pivot_rhs.is_zero() {
+                self.rhs[i] = self.rhs[i].sub_mul(f, pivot_rhs);
+            }
+        }
+        let zf = self.z[col];
+        if !zf.is_zero() {
+            rows_touched += 1;
+            for &(j, b) in &nz {
+                self.z[j] = self.z[j].sub_mul(zf, b);
+            }
+            if !pivot_rhs.is_zero() {
+                self.zval = self.zval.sub_mul(zf, pivot_rhs);
+            }
+        }
+        self.n_updates += nz.len() as u64 * rows_touched;
+        self.basis[row] = col;
+    }
+
+    /// The textbook pivot: every column of every row, plain `Rat`
+    /// operators. The reference [`Tableau::pivot`] must agree with.
+    #[cfg(test)]
+    fn pivot_dense(&mut self, row: usize, col: usize) {
         let piv = self.t[row][col];
-        debug_assert!(!piv.is_zero());
         let inv = piv.recip();
         for j in 0..self.cols {
             let scaled = self.t[row][j] * inv;
@@ -199,12 +275,12 @@ impl Tableau {
             if cb.is_zero() {
                 continue;
             }
-            for j in 0..self.cols {
-                let delta = cb * self.t[i][j];
-                self.z[j] -= delta;
+            for (z, &x) in self.z.iter_mut().zip(&self.t[i]) {
+                if !x.is_zero() {
+                    *z = z.sub_mul(cb, x);
+                }
             }
-            let dz = cb * self.rhs[i];
-            self.zval -= dz;
+            self.zval = self.zval.sub_mul(cb, self.rhs[i]);
         }
     }
 }
@@ -215,31 +291,10 @@ impl Tableau {
 /// objective are the caller's business).
 #[must_use]
 pub fn solve_lp(cs: &ConstraintSystem, objective: &[Rat], sense: Sense) -> LpResult {
-    let mut pivots = 0u64;
-    solve_lp_counted(cs, objective, sense, &mut pivots)
+    solve_lp_work(cs, objective, sense, &mut LpWork::default(), u64::MAX)
 }
 
-/// [`solve_lp`], additionally accumulating the number of simplex pivots
-/// performed into `pivots` (the ILP's branch-and-bound loop uses this to
-/// enforce its pivot budget across nodes).
-#[must_use]
-pub fn solve_lp_counted(
-    cs: &ConstraintSystem,
-    objective: &[Rat],
-    sense: Sense,
-    pivots: &mut u64,
-) -> LpResult {
-    let mut cells = 0u64;
-    solve_lp_measured(cs, objective, sense, pivots, &mut cells, u64::MAX)
-}
-
-/// [`solve_lp_counted`], additionally accumulating tableau *cell updates*
-/// (pivots weighted by tableau area) into `cells` and aborting with
-/// [`LpResult::Exhausted`] once this solve's own cell count exceeds
-/// `cell_limit`. Pivot counts alone under-report work by the tableau area —
-/// the ILP's cell budget uses this to bound arithmetic effort
-/// deterministically across machines, *inside* the solve rather than only
-/// between branch-and-bound nodes (a single LP can dwarf everything else).
+/// [`solve_lp_work`] for callers that track only pivots and logical cells.
 #[must_use]
 pub fn solve_lp_measured(
     cs: &ConstraintSystem,
@@ -247,6 +302,28 @@ pub fn solve_lp_measured(
     sense: Sense,
     pivots: &mut u64,
     cells: &mut u64,
+    cell_limit: u64,
+) -> LpResult {
+    let mut work = LpWork::default();
+    let result = solve_lp_work(cs, objective, sense, &mut work, cell_limit);
+    *pivots += work.pivots;
+    *cells += work.cells;
+    result
+}
+
+/// [`solve_lp`], additionally accumulating this solve's [`LpWork`] into
+/// `work` and aborting with [`LpResult::Exhausted`] once its own logical
+/// cell count exceeds `cell_limit`. Pivot counts alone under-report work by
+/// the tableau area — the ILP's cell budget uses this to bound arithmetic
+/// effort deterministically across machines, *inside* the solve rather than
+/// only between branch-and-bound nodes (a single LP can dwarf everything
+/// else).
+#[must_use]
+pub fn solve_lp_work(
+    cs: &ConstraintSystem,
+    objective: &[Rat],
+    sense: Sense,
+    work: &mut LpWork,
     cell_limit: u64,
 ) -> LpResult {
     assert_eq!(objective.len(), cs.n_vars, "objective arity mismatch");
@@ -294,9 +371,27 @@ pub fn solve_lp_measured(
         cols,
         n_pivots: 0,
         n_cells: 0,
+        n_updates: 0,
         cell_limit,
     };
 
+    let result = two_phase(&mut tab, n, n_struct, objective, sense);
+    work.pivots += tab.n_pivots;
+    work.cells += tab.n_cells;
+    work.updates += tab.n_updates;
+    result
+}
+
+/// Both simplex phases on a freshly built tableau whose basis is the
+/// artificial columns `n_struct..`.
+fn two_phase(
+    tab: &mut Tableau,
+    n: usize,
+    n_struct: usize,
+    objective: &[Rat],
+    sense: Sense,
+) -> LpResult {
+    let cols = tab.cols;
     // Phase 1: minimize sum of artificials.
     let mut phase1 = vec![Rat::ZERO; cols];
     for j in n_struct..cols {
@@ -304,19 +399,13 @@ pub fn solve_lp_measured(
     }
     tab.set_objective(&phase1);
     match tab.run(cols) {
-        RunOutcome::Exhausted => {
-            *pivots += tab.n_pivots;
-            *cells += tab.n_cells;
-            return LpResult::Exhausted;
-        }
+        RunOutcome::Exhausted => return LpResult::Exhausted,
         outcome => debug_assert!(
             outcome == RunOutcome::Optimal,
             "phase 1 cannot be unbounded"
         ),
     }
     if (-tab.zval).signum() > 0 {
-        *pivots += tab.n_pivots;
-        *cells += tab.n_cells;
         return LpResult::Infeasible;
     }
     // Pivot artificials out of the basis where possible; drop rows that are
@@ -350,14 +439,8 @@ pub fn solve_lp_measured(
     tab.set_objective(&costs);
     match tab.run(n_struct) {
         RunOutcome::Optimal => {}
-        outcome => {
-            *pivots += tab.n_pivots;
-            *cells += tab.n_cells;
-            return match outcome {
-                RunOutcome::Unbounded => LpResult::Unbounded,
-                _ => LpResult::Exhausted,
-            };
-        }
+        RunOutcome::Unbounded => return LpResult::Unbounded,
+        RunOutcome::Exhausted => return LpResult::Exhausted,
     }
 
     // Extract the point.
@@ -370,8 +453,6 @@ pub fn solve_lp_measured(
         Sense::Min => -tab.zval,
         Sense::Max => tab.zval,
     };
-    *pivots += tab.n_pivots;
-    *cells += tab.n_cells;
     LpResult::Optimal { value, point }
 }
 
@@ -385,6 +466,13 @@ pub fn lp_feasible(cs: &ConstraintSystem) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// When set, [`Tableau::pivot`] on this thread runs the textbook
+        /// dense update instead — the differential tests' reference.
+        pub(super) static DENSE_REFERENCE: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
 
     fn obj(v: &[i128]) -> Vec<Rat> {
         v.iter().map(|&x| Rat::int(x)).collect()
@@ -562,5 +650,200 @@ mod brute_force_tests {
                 }
             }
         }
+    }
+}
+
+/// The production pivot against the textbook dense one, whole solves at a
+/// time: same verdict, same value *and* point, same pivot and logical cell
+/// counts — i.e. the same pivot sequence.
+#[cfg(test)]
+mod differential_tests {
+    use super::tests::DENSE_REFERENCE;
+    use super::*;
+    use wf_harness::prelude::*;
+
+    /// Run `f` with this thread's pivots on the dense reference kernel.
+    fn with_dense_reference<T>(f: impl FnOnce() -> T) -> T {
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                DENSE_REFERENCE.set(false);
+            }
+        }
+        DENSE_REFERENCE.set(true);
+        let _reset = Reset;
+        f()
+    }
+
+    fn assert_same_solve(
+        cs: &ConstraintSystem,
+        objective: &[i128],
+        sense: Sense,
+        cell_limit: u64,
+    ) -> Result<LpResult, TestCaseError> {
+        let objective: Vec<Rat> = objective.iter().map(|&c| Rat::int(c)).collect();
+        let mut work = LpWork::default();
+        let got = solve_lp_work(cs, &objective, sense, &mut work, cell_limit);
+        let mut dense = LpWork::default();
+        let want =
+            with_dense_reference(|| solve_lp_work(cs, &objective, sense, &mut dense, cell_limit));
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(work.pivots, dense.pivots);
+        prop_assert_eq!(work.cells, dense.cells);
+        prop_assert_eq!(dense.updates, 0);
+        prop_assert!(work.updates <= work.cells);
+        prop_assert_eq!(work.updates == 0, work.pivots == 0);
+        Ok(got)
+    }
+
+    /// `(coefficients, constant, is_equality)` per row.
+    type Rows = Vec<(Vec<i128>, i128, bool)>;
+
+    fn arb_rows(
+        n: usize,
+        coeff: std::ops::Range<i128>,
+        rows: usize,
+    ) -> impl Strategy<Value = Rows> {
+        collection::vec((collection::vec(coeff, n), -12i128..13, 0usize..4), 0..rows).prop_map(
+            |rows| {
+                rows.into_iter()
+                    .map(|(a, c, kind)| (a, c, kind == 0))
+                    .collect()
+            },
+        )
+    }
+
+    fn system(n: usize, rows: &Rows) -> ConstraintSystem {
+        let mut cs = ConstraintSystem::new(n);
+        for (a, c, eq) in rows {
+            let mut row = a.clone();
+            row.push(*c);
+            if *eq {
+                cs.add_eq0(row);
+            } else {
+                cs.add_ge0(row);
+            }
+        }
+        cs
+    }
+
+    fn sense_of(max: bool) -> Sense {
+        if max {
+            Sense::Max
+        } else {
+            Sense::Min
+        }
+    }
+
+    props! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Random mixed systems, boxed on a random subset of variables so
+        /// that optimal, infeasible and unbounded verdicts all occur; wide
+        /// coefficients make the vertices fractional. Every third case
+        /// repeats a row scaled (a redundant row phase 1 must drop), and
+        /// half the cases run under a finite cell limit.
+        #[test]
+        fn prop_random_systems_match_dense(
+            rows in arb_rows(4, -7i128..8, 9),
+            boxed in collection::vec(0usize..3, 4),
+            objective in collection::vec(-5i128..6, 4),
+            knobs in (0usize..2, 0usize..3, 0usize..2, 0u64..6000),
+        ) {
+            let (max, dup, limited, limit) = knobs;
+            let mut cs = system(4, &rows);
+            for (v, b) in boxed.iter().enumerate() {
+                if *b > 0 {
+                    cs.add_lower_bound(v, -3);
+                }
+                if *b > 1 {
+                    cs.add_upper_bound(v, 5);
+                }
+            }
+            if dup == 0 {
+                if let Some((a, c, eq)) = rows.first() {
+                    let mut row: Vec<i128> = a.iter().map(|x| 3 * x).collect();
+                    row.push(3 * c);
+                    if *eq { cs.add_eq0(row) } else { cs.add_ge0(row) }
+                }
+            }
+            let cell_limit = if limited == 0 { u64::MAX } else { limit };
+            let got = assert_same_solve(&cs, &objective, sense_of(max == 1), cell_limit)?;
+            if limited == 0 {
+                prop_assert_ne!(got, LpResult::Exhausted);
+            }
+        }
+
+        /// Farkas-shaped systems, as the scheduler builds them: bounded
+        /// schedule coefficients `c`, non-negative multipliers `λ`, one
+        /// equality per coefficient tying it to `Σ λ_i · a_i`, and a
+        /// non-triviality row; the objective is the coefficient sum.
+        #[test]
+        fn prop_farkas_shaped_systems_match_dense(
+            faces in collection::vec(collection::vec(-3i128..4, 3), 1..6),
+            bound in 1i128..5,
+            knobs in (0usize..2, 0usize..2, 0u64..40000),
+        ) {
+            let (duplicate_equalities, limited, limit) = knobs;
+            let (n_c, n_l) = (3, faces.len());
+            let mut cs = ConstraintSystem::new(n_c + n_l);
+            for k in 0..n_c {
+                cs.add_lower_bound(k, 0);
+                cs.add_upper_bound(k, bound);
+                // c_k - Σ_i λ_i a_ik == 0
+                let mut row = vec![0i128; n_c + n_l + 1];
+                row[k] = 1;
+                for (i, face) in faces.iter().enumerate() {
+                    row[n_c + i] = -face[k];
+                }
+                if duplicate_equalities == 1 {
+                    cs.add_eq0(row.iter().map(|x| 2 * x).collect());
+                }
+                cs.add_eq0(row);
+            }
+            for i in 0..n_l {
+                cs.add_lower_bound(n_c + i, 0);
+            }
+            let mut nontrivial = vec![0i128; n_c + n_l + 1];
+            nontrivial[..n_c].fill(1);
+            nontrivial[n_c + n_l] = -1;
+            cs.add_ge0(nontrivial);
+            let mut objective = vec![0i128; n_c + n_l];
+            objective[..n_c].fill(1);
+            let cell_limit = if limited == 0 { u64::MAX } else { limit };
+            assert_same_solve(&cs, &objective, Sense::Min, cell_limit)?;
+        }
+    }
+
+    /// The verdicts the properties above rely on meeting do occur, each
+    /// identically under both kernels.
+    #[test]
+    fn every_verdict_matches_dense() {
+        let mut boxed = ConstraintSystem::new(2);
+        boxed.add_lower_bound(0, 0);
+        boxed.add_lower_bound(1, 0);
+        boxed.add_ge0(vec![-2, -1, 4]);
+        boxed.add_ge0(vec![-1, -2, 4]);
+        let r = assert_same_solve(&boxed, &[1, 1], Sense::Max, u64::MAX).unwrap();
+        assert_eq!(r.value(), Some(Rat::new(8, 3)));
+        let r = assert_same_solve(&boxed, &[1, 1], Sense::Max, 1).unwrap();
+        assert_eq!(r, LpResult::Exhausted);
+
+        let mut open = ConstraintSystem::new(1);
+        open.add_lower_bound(0, 0);
+        let r = assert_same_solve(&open, &[1], Sense::Max, u64::MAX).unwrap();
+        assert_eq!(r, LpResult::Unbounded);
+
+        let mut empty = ConstraintSystem::new(1);
+        empty.add_lower_bound(0, 3);
+        empty.add_upper_bound(0, 1);
+        let r = assert_same_solve(&empty, &[1], Sense::Min, u64::MAX).unwrap();
+        assert_eq!(r, LpResult::Infeasible);
+
+        let mut redundant = ConstraintSystem::new(1);
+        redundant.add_eq0(vec![1, -5]);
+        redundant.add_eq0(vec![2, -10]);
+        let r = assert_same_solve(&redundant, &[1], Sense::Max, u64::MAX).unwrap();
+        assert_eq!(r.value(), Some(Rat::int(5)));
     }
 }

@@ -32,5 +32,5 @@ pub mod reference;
 
 pub use data::{ProgramData, Tensor};
 pub use exec::{AccessObserver, ExecContext, ExecOptions};
-pub use reference::execute_reference;
+pub use reference::{execute_reference, for_each_instance};
 pub use wf_harness::WfError;

@@ -13,37 +13,81 @@ use wf_scop::Scop;
 
 /// Execute the SCoP in original program order over `data`.
 ///
-/// Intended for correctness oracles at small problem sizes; it materializes
-/// and sorts every statement instance.
+/// Intended for correctness oracles at small problem sizes; it sorts the
+/// statement instances of a nest (see [`for_each_instance`] for what that
+/// costs).
 pub fn execute_reference(scop: &Scop, data: &mut ProgramData) {
-    let maxd = scop.statements.iter().map(|s| s.depth).max().unwrap_or(0);
     let params = data.params.clone();
-    // (original-order key, statement, iters)
-    let mut instances: Vec<(Vec<i128>, usize, Vec<i128>)> = Vec::new();
-    for (s, st) in scop.statements.iter().enumerate() {
-        let mut cs = st.domain.clone();
-        for (j, &p) in params.iter().enumerate() {
-            cs.add_fixed(st.depth + j, p);
-        }
-        let points = Polyhedron::from(cs)
-            .enumerate(200_000_000)
-            .expect("reference domains are bounded and small");
-        for point in points {
-            let iters: Vec<i128> = point[..st.depth].to_vec();
-            let mut key = Vec::with_capacity(2 * maxd + 1);
-            for level in 0..=maxd {
-                key.push(*st.beta.get(level).unwrap_or(&0) as i128);
-                if level < maxd {
-                    key.push(iters.get(level).copied().unwrap_or(0));
-                }
-            }
-            instances.push((key, s, iters));
-        }
-    }
-    instances.sort();
     let mut none = None;
-    for (_, s, iters) in instances {
-        exec_statement(scop, s, &iters, data, &mut none);
+    for_each_instance(scop, &params, |s, iters| {
+        exec_statement(scop, s, iters, data, &mut none);
+    });
+}
+
+/// Call `visit(statement, iterators)` for every statement instance of
+/// `scop` at `params`, in original program order: ascending interleaved
+/// `(β0, i1, β1, …, βd)` vector, ties (a shallower statement's zero padding
+/// meeting a deeper one's iterator) broken by statement index.
+///
+/// Statements are taken one top-level nest (`β0` value) at a time, since
+/// nests never interleave. A nest's instances are streamed out of each
+/// domain into one flat arena of fixed-stride `i32` sort keys, of which a
+/// `u32` permutation is sorted: 4 × (2·depth + 2) + 4 bytes an instance of
+/// the largest nest, where owned key and iterator vectors for the whole
+/// program were several hundred bytes an instance.
+///
+/// # Panics
+/// Panics on an unbounded domain, a nest of more than `u32::MAX` instances,
+/// or an iterator value outside `i32` — none of which a reference-sized
+/// run has.
+pub fn for_each_instance(scop: &Scop, params: &[i128], mut visit: impl FnMut(usize, &[i128])) {
+    fn small<T: TryInto<i32>>(x: T) -> i32 {
+        let x = x.try_into().ok();
+        x.expect("reference iterators, β and statement indices fit i32")
+    }
+    let maxd = scop.statements.iter().map(|s| s.depth).max().unwrap_or(0);
+    // Per instance: i1, β1, …, i_maxd, β_maxd, statement index.
+    let stride = 2 * maxd + 1;
+    let beta = |s: usize, level: usize| scop.statements[s].beta.get(level).copied().unwrap_or(0);
+    let mut nests: Vec<usize> = (0..scop.statements.len()).map(|s| beta(s, 0)).collect();
+    nests.sort_unstable();
+    nests.dedup();
+    let mut keys: Vec<i32> = Vec::new();
+    let mut order: Vec<u32> = Vec::new();
+    let mut iters = Vec::with_capacity(maxd);
+    for nest in nests {
+        keys.clear();
+        for (s, st) in scop.statements.iter().enumerate() {
+            if beta(s, 0) != nest {
+                continue;
+            }
+            let mut cs = st.domain.clone();
+            for (j, &p) in params.iter().enumerate() {
+                cs.add_fixed(st.depth + j, p);
+            }
+            Polyhedron::from(cs)
+                .for_each_point(u32::MAX as usize, |point| {
+                    for level in 0..maxd {
+                        let iter = point[..st.depth].get(level).copied().unwrap_or(0);
+                        keys.push(small(iter));
+                        keys.push(small(beta(s, level + 1)));
+                    }
+                    keys.push(small(s));
+                })
+                .expect("reference domains are bounded and small");
+        }
+        let key = |i: u32| &keys[i as usize * stride..][..stride];
+        let n = u32::try_from(keys.len() / stride).expect("a nest has < 2^32 instances");
+        order.clear();
+        order.extend(0..n);
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        for &i in &order {
+            let k = key(i);
+            let s = k[stride - 1] as usize;
+            iters.clear();
+            iters.extend((0..scop.statements[s].depth).map(|level| i128::from(k[2 * level])));
+            visit(s, &iters);
+        }
     }
 }
 

@@ -792,7 +792,7 @@ fn solve_component(
     let combos = 1usize << n_k.min(7);
     for mask in 0..combos {
         let mut sys = cs.clone();
-        let mut per_stmt_sum: std::collections::HashMap<usize, Vec<i128>> = Default::default();
+        let mut per_stmt_sum: std::collections::BTreeMap<usize, Vec<i128>> = Default::default();
         for (idx, (s, vec)) in kernel_vectors.iter().enumerate() {
             let sign: i128 = if mask & (1 << idx) == 0 { 1 } else { -1 };
             let d = scop.statements[*s].depth;
