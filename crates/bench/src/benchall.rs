@@ -32,7 +32,7 @@
 //! Every extra pass doubles as a determinism check: the parallel, cached,
 //! and pool-replayed schedules must be **identical** to the serial ones
 //! ([`Transformed`](wf_schedule::pluto::Transformed) and loop properties
-//! compare equal), and the consolidated report carries the verdict in
+//! compare equal), and the report carries the verdict in
 //! `determinism_ok` so CI can fail on any divergence. Timing fields are the
 //! only run-to-run variance; [`strip_timings`] removes them so two reports
 //! can be compared byte-for-byte.
@@ -63,10 +63,6 @@ pub struct BenchAllOptions {
     /// Re-verify every successfully scheduled model against the
     /// independent legality oracle (`wfc bench-all --check-legality`).
     pub check_legality: bool,
-    /// Run only this slice of the (filtered) catalog and emit a
-    /// `bench-shard/v1` report instead of `bench-all/v1`
-    /// (`wfc bench-all --shard I/N`); `None` = the whole catalog.
-    pub shard: Option<crate::shard::ShardSpec>,
 }
 
 impl Default for BenchAllOptions {
@@ -75,14 +71,13 @@ impl Default for BenchAllOptions {
             threads: pool::global().n_threads(),
             filter: String::new(),
             check_legality: false,
-            shard: None,
         }
     }
 }
 
 /// Everything one batch run produced.
 pub struct BenchAllOutcome {
-    /// The consolidated `BENCH_all.json` payload.
+    /// The `BENCH_all.json` payload.
     pub report: Json,
     /// Did every redundant pass (parallel analysis, parallel scheduling,
     /// cached, memoized, pooled) reproduce the serial results exactly?
@@ -145,19 +140,10 @@ pub fn run(opts: &BenchAllOptions) -> BenchAllOutcome {
                 !f.is_empty() && name.contains(f)
             })
     };
-    let mut benchmarks: Vec<Benchmark> = catalog()
+    let benchmarks: Vec<Benchmark> = catalog()
         .into_iter()
         .filter(|b| matches_filter(b.name))
         .collect();
-    // Shard mode: keep only this run's deterministic slice. Sharding
-    // happens *after* filtering so `--workers` + `--filter` compose.
-    if let Some(spec) = opts.shard {
-        let range = crate::shard::plan_shards(benchmarks.len(), spec.count)
-            [spec.index.min(spec.count.saturating_sub(1))]
-        .clone();
-        benchmarks.truncate(range.end);
-        benchmarks.drain(..range.start);
-    }
 
     let mut determinism_ok = true;
     let mut rows = Vec::new();
@@ -428,30 +414,9 @@ pub fn run(opts: &BenchAllOptions) -> BenchAllOutcome {
     let cache_stats = cache::stats();
     let memo_stats = memo::stats();
     let memo_run = delta_stats(&memo_before_all, &memo_stats);
-    // Shard runs emit their own schema tag plus a `shard` block right
-    // after `threads`; everything below it is laid out identically to
-    // the consolidated report so the merge layer can pass rows through
-    // verbatim and the stripped forms compare byte-for-byte.
-    let mut report = Json::obj([(
-        "schema",
-        if opts.shard.is_some() {
-            "bench-shard/v1"
-        } else {
-            "bench-all/v1"
-        }
-        .into(),
-    )]);
-    report.push("threads", threads.into());
-    if let Some(spec) = opts.shard {
-        report.push(
-            "shard",
-            Json::obj([
-                ("index", spec.display_index().into()),
-                ("count", spec.count.into()),
-            ]),
-        );
-    }
-    let mut tail = Json::obj([
+    let mut report = Json::obj([
+        ("schema", "bench-all/v1".into()),
+        ("threads", threads.into()),
         ("benchmarks", Json::Arr(rows)),
         (
             "totals",
@@ -482,12 +447,7 @@ pub fn run(opts: &BenchAllOptions) -> BenchAllOutcome {
         ("determinism_ok", determinism_ok.into()),
     ]);
     if opts.check_legality {
-        tail.push("legality_rejections", legality_rejections.into());
-    }
-    if let Json::Obj(fields) = tail {
-        for (k, v) in fields {
-            report.push(k, v);
-        }
+        report.push("legality_rejections", legality_rejections.into());
     }
     obs::set_enabled(prev_flags);
     BenchAllOutcome {
@@ -503,7 +463,9 @@ pub fn run(opts: &BenchAllOptions) -> BenchAllOutcome {
 /// the cache and solver-memo counters, the hit-rate percentages, and the
 /// metrics snapshots) so two reports from identical inputs compare
 /// byte-for-byte. This is the determinism contract `wfc bench-all --json`
-/// advertises and CI enforces. (Metrics would in fact be deterministic
+/// advertises; `crates/bench/tests/benchall_determinism.rs` (two runs in
+/// one process) and `crates/cli/tests/cli_bench_all.rs` (two processes
+/// sharing a spill) enforce it. (Metrics would in fact be deterministic
 /// for a fixed build, but they grow with every new probe, which would
 /// churn the goldens; the memo counters depend on what earlier runs left
 /// in the process-wide memo.)
@@ -527,82 +489,4 @@ pub fn strip_timings(j: &Json) -> Json {
         Json::Arr(items) => Json::Arr(items.iter().map(strip_timings).collect()),
         other => other.clone(),
     }
-}
-
-/// One ILP-phase timing regression between two `bench-all` reports.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Regression {
-    /// Benchmark name.
-    pub name: String,
-    /// The regressed phase field (`ilp_serial_seconds` or
-    /// `ilp_parallel_seconds`).
-    pub phase: &'static str,
-    /// The phase's time in the previous report.
-    pub before: f64,
-    /// The phase's time in the new report.
-    pub after: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} regressed {:.1}x ({:.4}s -> {:.4}s)",
-            self.name,
-            self.phase,
-            self.after / self.before.max(1e-12),
-            self.before,
-            self.after
-        )
-    }
-}
-
-/// Diff the per-benchmark ILP-phase timings of a new report against the
-/// previous run's `BENCH_all.json`: a phase regresses when it takes more
-/// than `factor`× its previous time *and* lands above `min_seconds` — the
-/// noise floor, because sub-millisecond phases double on scheduler jitter
-/// alone. Benchmarks present in only one report are skipped (the catalog
-/// changed; there is nothing comparable to flag).
-#[must_use]
-pub fn ilp_regressions(
-    previous: &Json,
-    new: &Json,
-    factor: f64,
-    min_seconds: f64,
-) -> Vec<Regression> {
-    let rows = |j: &Json| -> Vec<(String, f64, f64)> {
-        j.get("benchmarks")
-            .and_then(Json::as_arr)
-            .map(|rows| {
-                rows.iter()
-                    .filter_map(|r| {
-                        let name = r.get("name")?.as_str()?.to_string();
-                        let f = |k: &str| r.get(k).and_then(Json::as_f64);
-                        Some((name, f("ilp_serial_seconds")?, f("ilp_parallel_seconds")?))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let old = rows(previous);
-    let mut out = Vec::new();
-    for (name, serial, parallel) in rows(new) {
-        let Some((_, old_serial, old_parallel)) = old.iter().find(|(n, _, _)| *n == name) else {
-            continue;
-        };
-        for (phase, before, after) in [
-            ("ilp_serial_seconds", *old_serial, serial),
-            ("ilp_parallel_seconds", *old_parallel, parallel),
-        ] {
-            if after > min_seconds && after > before * factor {
-                out.push(Regression {
-                    name: name.clone(),
-                    phase,
-                    before,
-                    after,
-                });
-            }
-        }
-    }
-    out
 }

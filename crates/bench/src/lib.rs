@@ -1,10 +1,9 @@
-//! Shared helpers for the figure/table harnesses.
+//! Shared helpers for the figure/table harnesses, plus [`benchall`], the
+//! one-process `wfc bench-all` batch driver.
 
 #![warn(missing_docs)]
 
 pub mod benchall;
-pub mod merge;
-pub mod shard;
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};

@@ -9,7 +9,6 @@
 //! wfc bench-all [--threads T] [--json]      # whole catalog × all models
 //! wfc cache --stats|--prune|--clear         # spill-cache hygiene
 //! wfc profile <bench> | --trace FILE        # where did the solver cells go
-//! wfc ledger --stats|--last N               # the WF_LEDGER run history
 //! ```
 //!
 //! Failures exit with the [`WfError`] code contract (invalid request 2,
@@ -19,7 +18,6 @@
 //! `--strict`).
 
 mod fuzz;
-mod shards;
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -29,7 +27,7 @@ use wf_cachesim::{CacheConfig, CacheSim};
 use wf_codegen::render_plan;
 use wf_codegen::tiling::{build_tiled_plan, default_tiles};
 use wf_harness::json::Json;
-use wf_harness::{attr, ledger, obs, profile};
+use wf_harness::{attr, obs, profile};
 use wf_runtime::{ExecContext, ExecOptions, ProgramData};
 use wf_schedule::PlutoConfig;
 use wf_scop::pretty;
@@ -56,10 +54,6 @@ fn run() -> Result<(), WfError> {
     cache::SpillCaps::try_from_env()?;
     wf_verify::fuzz_seed_from_env()?;
     wf_verify::check_legality_from_env()?;
-    wf_bench::shard::spec_from_env()?;
-    wf_bench::shard::workers_from_env()?;
-    wf_bench::shard::timeout_from_env()?;
-    wf_bench::shard::fail_once_from_env()?;
     if let Some(limit) = obs_limit_from_env()? {
         obs::set_buffer_limit(limit);
     }
@@ -75,12 +69,6 @@ fn run() -> Result<(), WfError> {
         obs::set_enabled(obs::enabled() | obs::TRACE | obs::METRICS);
         obs::stream_open(path).map_err(|e| WfError::io(path.clone(), &e))?;
     }
-    // WF_LEDGER=<path> appends one provenance record per run/compare/
-    // bench-all/fuzz invocation; metrics must be on for the counter deltas.
-    let ledger_path = ledger::path_from_env()?;
-    if ledger_path.is_some() {
-        obs::set_enabled(obs::enabled() | obs::METRICS);
-    }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `wfc profile --trace FILE` *reads* a trace instead of writing one,
     // so the global --trace strip skips that command.
@@ -95,9 +83,6 @@ fn run() -> Result<(), WfError> {
             obs::set_enabled(obs::enabled() | obs::TRACE | obs::METRICS);
         }
     }
-    let before = ledger_path
-        .as_ref()
-        .map(|_| (obs::metrics(), attr::snapshot()));
     let mut it = args.iter();
     let Some(cmd) = it.next() else {
         usage();
@@ -109,17 +94,6 @@ fn run() -> Result<(), WfError> {
             Ok(Some(lines)) => eprintln!("trace stream: {lines} span(s) written to {path}"),
             Ok(None) => {}
             Err(e) => eprintln!("warning: could not flush trace stream {path}: {e}"),
-        }
-    }
-    if let (Some(lpath), Some((m0, a0))) = (&ledger_path, &before) {
-        if matches!(cmd.as_str(), "run" | "compare" | "bench-all" | "fuzz") {
-            let record = ledger_record(cmd, &args, &result, &ctx, m0, a0);
-            if let Err(e) = ledger::append(lpath, &record) {
-                eprintln!(
-                    "warning: could not append to ledger {}: {e}",
-                    lpath.display()
-                );
-            }
         }
     }
     if let Some(path) = trace_path {
@@ -158,147 +132,6 @@ fn stream_path_from_env() -> Result<Option<String>, WfError> {
     }
 }
 
-/// Classify a command result under the `wfc` exit-code contract, for the
-/// ledger's `exit` field.
-fn exit_class(result: &Result<(), WfError>) -> (&'static str, u8) {
-    match result {
-        Ok(()) => ("ok", 0),
-        Err(e) => {
-            let code = e.exit_code();
-            let class = match code {
-                2 => "invalid",
-                3 => "parse",
-                4 => "budget",
-                5 => "io",
-                6 => "schedule",
-                7 => "panic",
-                8 => "unbounded",
-                9 => "illegal",
-                _ => "error",
-            };
-            (class, code)
-        }
-    }
-}
-
-/// The value following `flag` in a finished command's argv, if any.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
-}
-
-/// Build one `ledger/v1` provenance record for a finished command: what
-/// ran (argv + config/SCoP digests), under which knobs, what the solver
-/// did (counter deltas over the dispatch interval), the top cost
-/// hotspots, and how it ended.
-fn ledger_record(
-    cmd: &str,
-    args: &[String],
-    result: &Result<(), WfError>,
-    ctx: &ExecContext<'_>,
-    m0: &obs::MetricsSnapshot,
-    a0: &attr::AttrSnapshot,
-) -> Json {
-    let m = obs::metrics().delta(m0);
-    let a = attr::snapshot().delta(a0);
-    let (class, code) = exit_class(result);
-    let target = args.iter().skip(1).find(|a| !a.starts_with("--")).cloned();
-    let scop_digest = target
-        .as_deref()
-        .and_then(by_name)
-        .map(|b| wf_harness::fnv1a_64(wf_scop::text::to_text(&b.scop).as_bytes()));
-    let argv_digest = wf_harness::fnv1a_64(args.join("\u{1f}").as_bytes());
-    const KEYS: [&str; 10] = [
-        "simplex.cells",
-        "simplex.pivots",
-        "ilp.solves",
-        "ilp.nodes",
-        "memo.hit",
-        "optimizer.degraded",
-        "verify.checks",
-        "verify.rejects",
-        "obs.dropped",
-        "bench.shard_retries",
-    ];
-    let counters = Json::Obj(
-        KEYS.iter()
-            .map(|&k| (k.to_string(), Json::from(m.counter(k))))
-            .collect(),
-    );
-    let hotspots: Vec<Json> = a
-        .top_by_cells(3)
-        .into_iter()
-        .map(|(k, t)| {
-            Json::obj([
-                ("key", Json::str(attr::key_display(k).as_str())),
-                ("bench", Json::str(k[attr::Slot::Bench as usize].as_str())),
-                ("cells", Json::from(t.cells)),
-                ("pivots", Json::from(t.pivots)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("schema", Json::str(ledger::SCHEMA)),
-        ("cmd", Json::str(cmd)),
-        (
-            "target",
-            target.map_or(Json::Null, |t| Json::str(t.as_str())),
-        ),
-        (
-            "argv_digest",
-            Json::str(format!("{argv_digest:016x}").as_str()),
-        ),
-        (
-            "scop_digest",
-            scop_digest.map_or(Json::Null, |d| Json::str(format!("{d:016x}").as_str())),
-        ),
-        (
-            "env",
-            Json::obj([
-                ("threads", Json::from(ctx.threads())),
-                (
-                    "check_legality",
-                    Json::from(
-                        wf_verify::check_legality_from_env()
-                            .ok()
-                            .flatten()
-                            .unwrap_or(false),
-                    ),
-                ),
-                (
-                    "cache_dir",
-                    cache::spill_dir()
-                        .map_or(Json::Null, |d| Json::str(d.display().to_string().as_str())),
-                ),
-                // Flag-then-env, mirroring how bench-all itself resolves
-                // its shard role, so the record names what actually ran.
-                (
-                    "shard",
-                    flag_value(args, "--shard")
-                        .and_then(|v| wf_bench::shard::parse_spec(&v).ok())
-                        .or_else(|| wf_bench::shard::spec_from_env().ok().flatten())
-                        .map_or(Json::Null, |s| Json::str(s.to_string().as_str())),
-                ),
-                (
-                    "workers",
-                    flag_value(args, "--workers")
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .or_else(|| wf_bench::shard::workers_from_env().ok().flatten())
-                        .map_or(Json::Null, Json::from),
-                ),
-            ]),
-        ),
-        ("counters", counters),
-        ("hotspots", Json::Arr(hotspots)),
-        (
-            "exit",
-            Json::obj([
-                ("class", Json::str(class)),
-                ("code", Json::Int(i128::from(code))),
-            ]),
-        ),
-    ])
-}
-
 fn dispatch<'a>(
     cmd: &str,
     it: &mut impl Iterator<Item = &'a String>,
@@ -310,11 +143,9 @@ fn dispatch<'a>(
             let opts = Opts::parse(it, ctx)?;
             cmd_bench_all(&opts)
         }
-        "merge-reports" => cmd_merge_reports(it),
         "cache" => cmd_cache(it),
         "fuzz" => cmd_fuzz(it),
         "profile" => cmd_profile(it, ctx),
-        "ledger" => cmd_ledger(it),
         "export" => {
             let name = it
                 .next()
@@ -374,27 +205,13 @@ USAGE:
   wfc opt <bench> [--model icc|wisefuse|smartfuse|nofuse|maxfuse] [--tile S]
   wfc run <bench> [--model M] [--threads T] [--size N] [--cache] [--verify] [--tile S] [--json]
   wfc compare <bench> [--threads T] [--size N] [--json]
-  wfc bench-all [--threads T] [--json] [--check-regressions]
-                [--filter S] [--shard I/N]     # catalog × all models;
-                [--workers N]                  # writes BENCH_all.json (incl. the
+  wfc bench-all [--threads T] [--json]         # catalog × all models in one process;
+                [--filter S]                   # writes BENCH_all.json (incl. the
                                                # executor's scoped-vs-pooled column),
                                                # fails on any parallel/cache/executor
-                                               # determinism mismatch;
-                                               # --check-regressions also fails when
-                                               # an ILP phase is >2x the previous run;
-                                               # --filter keeps names containing any
-                                               # comma-separated substring;
-                                               # --shard I/N runs slice I of N and
-                                               # writes BENCH_shard_I_of_N.json;
-                                               # --workers N coordinates N shard
-                                               # subprocesses (per-shard timeout, one
-                                               # retry on crash, merged BENCH_all.json
-                                               # byte-identical to one process after
-                                               # `merge-reports --strip`)
-  wfc merge-reports <report.json...>           # fold bench-shard/v1 reports into one
-                    [--strip] [--out P]        # bench-all/v1 document; --strip drops
-                                               # timing-dependent fields for CI
-                                               # byte-comparison
+                                               # determinism mismatch; --filter keeps
+                                               # names containing any comma-separated
+                                               # substring
   wfc explain <bench> [--model M] [--json]     # why the scheduler fused what it
                       [--costs]                # fused: Algorithm 1 ordering choices
                                                # and Algorithm 2 cuts, with rationale;
@@ -406,8 +223,6 @@ USAGE:
                                                # the pool-aware critical path, and a
                                                # per-component cell table that
                                                # reconciles with simplex.cells
-  wfc ledger [--stats | --last N] [--json]     # summarize or tail the WF_LEDGER
-                                               # run history
   wfc emit <bench> [--model M] [--size N]      # compilable C on stdout
   wfc model <bench> [--model M] [--size N]     # machine-model breakdown
   wfc export <bench>                           # benchmark as .wfs text
@@ -447,18 +262,9 @@ ENVIRONMENT:
   WF_TRACE_STREAM        path for a streaming JSONL span sink: spans are
                          written (bounded) as they close instead of
                          accumulating in memory
-  WF_LEDGER              JSONL run ledger: run/compare/bench-all/fuzz each
-                         append one provenance record (see `wfc ledger`)
   WF_OBS_LIMIT           cap on the in-memory span/decision buffers, in
                          records (default 262144); overflow counts in the
                          obs.dropped counter
-  WF_SHARD               I/N: bench-all runs only catalog slice I of N
-                         (same grammar and meaning as --shard)
-  WF_BENCH_WORKERS       N: bench-all coordinates N shard subprocesses
-                         (same meaning as --workers)
-  WF_SHARD_TIMEOUT_SECS  per-shard supervision deadline under --workers,
-                         in seconds (default 900); a shard past it is
-                         killed and retried once
   WF_FAULT               fault-injection plan (seed=..,rate=..,kinds=..,site=..)
   WF_FUZZ_SEED           base seed for `wfc fuzz` (default 0)
   WF_CHECK_LEGALITY      1/true = behave as if --check-legality everywhere
@@ -486,9 +292,6 @@ struct Opts {
     /// `--strict`: surface recoverable solver failures instead of
     /// degrading to the fallback schedule.
     strict: bool,
-    /// `bench-all --check-regressions`: fail when an ILP phase is >2x its
-    /// time in the previous `BENCH_all.json`.
-    check_regressions: bool,
     /// `--check-legality` (or `WF_CHECK_LEGALITY=1`): re-verify every
     /// emitted schedule against the independent oracle.
     check_legality: bool,
@@ -498,12 +301,6 @@ struct Opts {
     /// `bench-all --filter S`: keep only catalog entries whose name
     /// contains one of the comma-separated substrings.
     filter: Option<String>,
-    /// `bench-all --shard I/N` (or `WF_SHARD`): run only shard I of the
-    /// (filtered) catalog and write `BENCH_shard_I_of_N.json`.
-    shard: Option<wf_bench::shard::ShardSpec>,
-    /// `bench-all --workers N` (or `WF_BENCH_WORKERS`): coordinate N
-    /// shard subprocesses and merge their reports.
-    workers: Option<usize>,
 }
 
 impl Opts {
@@ -521,15 +318,12 @@ impl Opts {
             json: false,
             max_nodes: None,
             strict: false,
-            check_regressions: false,
             // The env var is validated at startup; the flag below can
             // only turn the check *on* over an explicit
             // WF_CHECK_LEGALITY=0.
             check_legality: wf_verify::check_legality_from_env()?.unwrap_or(false),
             costs: false,
             filter: None,
-            shard: None,
-            workers: None,
         };
         while let Some(flag) = it.next() {
             match flag.as_str() {
@@ -580,25 +374,8 @@ impl Opts {
                             .clone(),
                     );
                 }
-                "--shard" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| WfError::invalid("--shard needs I/N"))?;
-                    o.shard = Some(wf_bench::shard::parse_spec(v)?);
-                }
-                "--workers" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| WfError::invalid("--workers needs a value"))?;
-                    o.workers = Some(v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                        WfError::invalid(format!(
-                            "--workers must be a positive worker-process count (got \"{v}\")"
-                        ))
-                    })?);
-                }
                 "--strict" => o.strict = true,
                 "--costs" => o.costs = true,
-                "--check-regressions" => o.check_regressions = true,
                 "--check-legality" => o.check_legality = true,
                 "--cache" => o.cache = true,
                 "--verify" => o.verify = true,
@@ -856,68 +633,17 @@ fn cmd_list() -> Result<(), WfError> {
 }
 
 fn cmd_bench_all(opts: &Opts) -> Result<(), WfError> {
-    // Flags win over their env twins (`--shard`/WF_SHARD,
-    // `--workers`/WF_BENCH_WORKERS); combining the two roles is a
-    // contradiction, not a precedence puzzle.
-    let shard = match opts.shard {
-        Some(s) => Some(s),
-        None => wf_bench::shard::spec_from_env()?,
+    let ba = wf_bench::benchall::BenchAllOptions {
+        threads: opts.threads,
+        check_legality: opts.check_legality,
+        filter: opts.filter.clone().unwrap_or_default(),
     };
-    let workers = match opts.workers {
-        Some(w) => Some(w),
-        None => wf_bench::shard::workers_from_env()?,
-    };
-    if shard.is_some() && workers.is_some() {
-        return Err(WfError::invalid(
-            "bench-all: --shard and --workers are mutually exclusive \
-             (the coordinator assigns shard slices itself)",
-        ));
-    }
-    if let Some(spec) = shard {
-        return cmd_bench_shard(opts, spec);
-    }
-    // Coordinated or in-process, the rest of this function judges one
-    // consolidated bench-all/v1 report; merging guarantees the two paths
-    // agree byte-for-byte once timings are stripped.
-    let mut merged = None;
-    if let Some(n) = workers {
-        let copts = shards::CoordinatorOptions {
-            workers: n,
-            threads: opts.threads,
-            check_legality: opts.check_legality,
-            filter: opts.filter.clone(),
-            timeout_secs: wf_bench::shard::timeout_from_env()?,
-            fail_once: wf_bench::shard::fail_once_from_env()?,
-        };
-        match shards::run_workers(&copts)? {
-            shards::WorkersOutcome::Merged(r) => merged = Some(r),
-            shards::WorkersOutcome::SpawnFailed(why) => {
-                eprintln!("warning: bench-all --workers degraded to one in-process run: {why}");
-            }
-        }
-    }
-    // The previous run's report, read *before* write_named overwrites it —
-    // the baseline the regression diff compares against.
-    let previous =
-        std::fs::read_to_string(wf_harness::report::results_dir().join("BENCH_all.json"))
-            .ok()
-            .and_then(|s| Json::parse(&s).ok());
-    let report = match merged {
-        Some(r) => r,
-        None => {
-            let ba = wf_bench::benchall::BenchAllOptions {
-                threads: opts.threads,
-                check_legality: opts.check_legality,
-                filter: opts.filter.clone().unwrap_or_default(),
-                ..wf_bench::benchall::BenchAllOptions::default()
-            };
-            wf_bench::benchall::run(&ba).report
-        }
-    };
+    let report = wf_bench::benchall::run(&ba).report;
     let path = wf_harness::report::write_named("all", &report);
-    let regressions = previous
-        .as_ref()
-        .map(|prev| wf_bench::benchall::ilp_regressions(prev, &report, 2.0, 0.005));
+    let rejections = report
+        .get("legality_rejections")
+        .and_then(Json::as_i128)
+        .unwrap_or(0);
     if opts.json {
         println!("{}", report.render());
     } else {
@@ -965,182 +691,27 @@ fn cmd_bench_all(opts: &Opts) -> Result<(), WfError> {
             ci("misses"),
             ci("spill_hits")
         );
-        match &regressions {
-            None => println!("  (no previous BENCH_all.json to diff ILP phases against)"),
-            Some(r) if r.is_empty() => {
-                println!("  ILP phases vs previous run: no >2x regressions");
-            }
-            Some(r) => {
-                // Join against the WF_LEDGER history (read before this
-                // run's record is appended): the previous bench-all's
-                // hotspot table names the cost center behind the phase.
-                let prev_rec = ledger::path_from_env()
-                    .ok()
-                    .flatten()
-                    .and_then(|p| ledger::read_all(&p).ok())
-                    .and_then(|(recs, _)| ledger::last_for_cmd(&recs, "bench-all").cloned());
-                for reg in r {
-                    println!("  REGRESSION {reg}");
-                    if let Some(line) = explain_regression(reg, prev_rec.as_ref()) {
-                        println!("             {line}");
-                    }
-                }
-            }
-        }
         println!("  report: {}", path.display());
-    }
-    gate_report(&report, opts.check_legality, !opts.json, "BENCH_all.json")?;
-    if opts.check_regressions {
-        if let Some(r) = &regressions {
-            if !r.is_empty() {
-                let lines: Vec<String> = r.iter().map(ToString::to_string).collect();
-                return Err(WfError::Budget {
-                    site: "bench-all --check-regressions".to_string(),
-                    detail: format!(
-                        "{} ILP-phase regression(s) vs previous BENCH_all.json: {}",
-                        r.len(),
-                        lines.join("; ")
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The bench-all pass/fail gates, read off the report itself (shard,
-/// merged, or in-process) so every path judges identical evidence.
-fn gate_report(
-    report: &Json,
-    check_legality: bool,
-    print_legality: bool,
-    which: &str,
-) -> Result<(), WfError> {
-    let rejections = report
-        .get("legality_rejections")
-        .and_then(Json::as_i128)
-        .unwrap_or(0);
-    if check_legality {
-        if print_legality {
+        if opts.check_legality {
             println!("  legality oracle: {rejections} rejection(s)");
         }
-        if rejections > 0 {
-            return Err(WfError::IllegalSchedule {
-                model: "bench-all".to_string(),
-                detail: format!(
-                    "{rejections} schedule(s) rejected by the legality oracle (see stderr)"
-                ),
-            });
-        }
     }
-    if report.get("determinism_ok").and_then(Json::as_bool) != Some(true) {
-        return Err(WfError::Schedule {
-            message: format!(
-                "bench-all: determinism mismatch — a parallel/cached/memoized pass \
-                 diverged from the serial baseline (see {which})"
+    if opts.check_legality && rejections > 0 {
+        return Err(WfError::IllegalSchedule {
+            model: "bench-all".to_string(),
+            detail: format!(
+                "{rejections} schedule(s) rejected by the legality oracle (see stderr)"
             ),
         });
     }
-    Ok(())
-}
-
-/// `bench-all --shard I/N`: run one deterministic slice of the (filtered)
-/// catalog and write its `bench-shard/v1` report to
-/// `BENCH_shard_I_of_N.json` for the coordinator (or a later
-/// `wfc merge-reports`) to fold.
-fn cmd_bench_shard(opts: &Opts, spec: wf_bench::shard::ShardSpec) -> Result<(), WfError> {
-    let ba = wf_bench::benchall::BenchAllOptions {
-        threads: opts.threads,
-        check_legality: opts.check_legality,
-        filter: opts.filter.clone().unwrap_or_default(),
-        shard: Some(spec),
-    };
-    let outcome = wf_bench::benchall::run(&ba);
-    let path = wf_harness::report::write_named(&spec.report_name(), &outcome.report);
-    if opts.json {
-        println!("{}", outcome.report.render());
-    } else {
-        let n = outcome
-            .report
-            .get("benchmarks")
-            .and_then(Json::as_arr)
-            .map_or(0, <[Json]>::len);
-        println!(
-            "bench-all shard {spec}: {n} benchmark(s) x {} models on {} thread(s)",
-            Model::ALL.len(),
-            opts.threads
-        );
-        println!("  report: {}", path.display());
-    }
-    let which = format!("BENCH_{}.json", spec.report_name());
-    gate_report(&outcome.report, opts.check_legality, !opts.json, &which)
-}
-
-/// `wfc merge-reports <files...>`: fold `bench-shard/v1` reports (or pass
-/// one consolidated report through unchanged) into one `bench-all/v1`
-/// document — stdout by default, `--out` for a file, `--strip` for the
-/// timing-independent form CI byte-compares.
-fn cmd_merge_reports<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<(), WfError> {
-    let mut files: Vec<String> = Vec::new();
-    let mut strip = false;
-    let mut out: Option<String> = None;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--strip" => strip = true,
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .ok_or_else(|| WfError::invalid("--out needs a path"))?
-                        .clone(),
-                );
-            }
-            other if !other.starts_with("--") => files.push(other.to_string()),
-            other => return Err(WfError::invalid(format!("unknown flag '{other}'"))),
-        }
-    }
-    if files.is_empty() {
-        return Err(WfError::invalid(
-            "merge-reports needs at least one BENCH_*.json report path",
-        ));
-    }
-    let mut docs = Vec::with_capacity(files.len());
-    for path in &files {
-        let text = std::fs::read_to_string(path).map_err(|e| WfError::io(path.as_str(), &e))?;
-        docs.push(
-            Json::parse(&text)
-                .map_err(|e| WfError::invalid(format!("{path}: not a report: {e}")))?,
-        );
-    }
-    let mut merged = wf_bench::merge::merge_reports(&docs)?;
-    if strip {
-        merged = wf_bench::benchall::strip_timings(&merged);
-    }
-    match out {
-        Some(path) => {
-            let mut text = merged.render_pretty();
-            text.push('\n');
-            std::fs::write(&path, text).map_err(|e| WfError::io(path.as_str(), &e))?;
-            eprintln!("merged report written to {path}");
-        }
-        None => println!("{}", merged.render()),
+    if report.get("determinism_ok").and_then(Json::as_bool) != Some(true) {
+        return Err(WfError::Schedule {
+            message: "bench-all: determinism mismatch — a parallel/cached/memoized pass \
+                      diverged from the serial baseline (see BENCH_all.json)"
+                .to_string(),
+        });
     }
     Ok(())
-}
-
-/// Name the cost center behind a flagged ILP-phase regression from the
-/// previous ledgered bench-all's hotspot table, if one matches.
-fn explain_regression(reg: &wf_bench::benchall::Regression, prev: Option<&Json>) -> Option<String> {
-    let hotspots = prev?.get("hotspots")?.as_arr()?;
-    let h = hotspots
-        .iter()
-        .find(|h| h.get("bench").and_then(Json::as_str) == Some(reg.name.as_str()))?;
-    let key = h.get("key").and_then(Json::as_str)?;
-    let cells = h.get("cells").and_then(Json::as_i128).unwrap_or(0);
-    Some(format!(
-        "ledger: last bench-all's top cost center for {} was {key} ({cells} cells) — \
-         profile that component for the {} regression",
-        reg.name, reg.phase
-    ))
 }
 
 fn cmd_show(bench: &Benchmark) -> Result<(), WfError> {
@@ -1731,94 +1302,6 @@ fn fmt_us(us: u64) -> String {
     } else {
         format!("{us}us")
     }
-}
-
-/// `wfc ledger`: summarize (or tail) the `WF_LEDGER` run history.
-fn cmd_ledger<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<(), WfError> {
-    let mut last: Option<usize> = None;
-    let mut json = false;
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--stats" => last = None,
-            "--last" => {
-                last = Some(
-                    it.next()
-                        .ok_or_else(|| WfError::invalid("--last needs a count"))?
-                        .parse()
-                        .map_err(|e| WfError::invalid(format!("--last: {e}")))?,
-                );
-            }
-            "--json" => json = true,
-            other => return Err(WfError::invalid(format!("unknown flag '{other}'"))),
-        }
-    }
-    let path = ledger::path_from_env()?
-        .ok_or_else(|| WfError::invalid("wfc ledger needs WF_LEDGER to name the ledger file"))?;
-    let (records, skipped) =
-        ledger::read_all(&path).map_err(|e| WfError::io(path.display().to_string(), &e))?;
-    if let Some(n) = last {
-        let tail = &records[records.len().saturating_sub(n)..];
-        if json {
-            println!("{}", Json::Arr(tail.to_vec()).render());
-        } else {
-            for r in tail {
-                let s = |k: &str| r.get(k).and_then(Json::as_str).unwrap_or("-").to_string();
-                let exit = r
-                    .get("exit")
-                    .and_then(|e| e.get("class"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("?");
-                let cells = r
-                    .get("counters")
-                    .and_then(|c| c.get("simplex.cells"))
-                    .and_then(Json::as_i128)
-                    .unwrap_or(0);
-                println!(
-                    "{:<10} {:<12} exit {:<9} {:>10} cells",
-                    s("cmd"),
-                    s("target"),
-                    exit,
-                    cells
-                );
-            }
-        }
-        if skipped > 0 {
-            eprintln!("warning: {skipped} malformed ledger line(s) skipped");
-        }
-        return Ok(());
-    }
-    let stats = ledger::stats(&records);
-    if json {
-        println!("{}", stats.render());
-    } else {
-        println!("ledger: {}", path.display());
-        let n = |k: &str| stats.get(k).and_then(Json::as_i128).unwrap_or(0);
-        println!("records: {}   malformed skipped: {skipped}", n("records"));
-        let fmt_map = |key: &str| -> String {
-            match stats.get(key) {
-                Some(Json::Obj(fields)) => fields
-                    .iter()
-                    .map(|(k, v)| format!("{k} {}", v.as_i128().unwrap_or(0)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                _ => "-".to_string(),
-            }
-        };
-        println!("by command: {}", fmt_map("by_cmd"));
-        println!("by exit:    {}", fmt_map("by_exit"));
-        println!(
-            "solver work: {} cells, {} solves, {} memo hits",
-            n("simplex_cells"),
-            n("ilp_solves"),
-            n("memo_hits")
-        );
-        println!(
-            "degradations: {}   legality rejections: {}",
-            n("degradations"),
-            n("legality_rejections")
-        );
-    }
-    Ok(())
 }
 
 fn cmd_optfile(path: &str, opts: &Opts) -> Result<(), WfError> {

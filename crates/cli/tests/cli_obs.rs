@@ -1,8 +1,8 @@
 //! End-to-end observability acceptance for the `wfc` binary: the §11
-//! invariant (outputs byte-identical with instrumentation on vs off), the
-//! run ledger round-trip, and the profiler's two hard guarantees —
-//! critical path bounded by wall time and cost attribution reconciling
-//! exactly with the `simplex.cells` counter.
+//! invariant (outputs byte-identical with instrumentation on vs off) and
+//! the profiler's two hard guarantees — critical path bounded by wall time
+//! and cost attribution reconciling exactly with the `simplex.cells`
+//! counter.
 //!
 //! Every test spawns the real binary via `CARGO_BIN_EXE_wfc`, so each run
 //! gets a fresh process and there is no shared obs state to serialize on.
@@ -17,7 +17,6 @@ fn wfc() -> Command {
     // Start from a clean slate: the test runner's own environment must not
     // leak instrumentation into "off" runs.
     cmd.env_remove("WF_TRACE_STREAM")
-        .env_remove("WF_LEDGER")
         .env_remove("WF_OBS_LIMIT")
         .env_remove("WF_CACHE_DIR");
     cmd
@@ -46,7 +45,7 @@ fn parse_stdout(out: &Output) -> Json {
 }
 
 /// The acceptance gate from the issue: generated code is byte-identical
-/// whether or not the streaming sink and the ledger are recording.
+/// whether or not the streaming sink is recording.
 #[test]
 fn emit_is_byte_identical_with_instrumentation_on_vs_off() {
     let dir = scratch("emit");
@@ -55,13 +54,12 @@ fn emit_is_byte_identical_with_instrumentation_on_vs_off() {
     let instrumented = run_ok(
         wfc()
             .args(["emit", "advect"])
-            .env("WF_TRACE_STREAM", dir.join("stream.jsonl"))
-            .env("WF_LEDGER", dir.join("ledger.jsonl")),
+            .env("WF_TRACE_STREAM", dir.join("stream.jsonl")),
     );
 
     assert_eq!(
         plain.stdout, instrumented.stdout,
-        "WF_TRACE_STREAM/WF_LEDGER changed the emitted code"
+        "WF_TRACE_STREAM changed the emitted code"
     );
 
     // The sink really ran: every line it wrote is one valid JSON object.
@@ -74,66 +72,11 @@ fn emit_is_byte_identical_with_instrumentation_on_vs_off() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Two `wfc run`s append two ledger records, and `wfc ledger --stats`
-/// aggregates them faithfully.
-#[test]
-fn ledger_round_trips_through_stats() {
-    let dir = scratch("ledger");
-    let ledger = dir.join("ledger.jsonl");
-
-    for _ in 0..2 {
-        run_ok(
-            wfc()
-                .args(["run", "advect", "--json"])
-                .env("WF_LEDGER", &ledger),
-        );
-    }
-
-    let recs = std::fs::read_to_string(&ledger).unwrap();
-    assert_eq!(recs.lines().count(), 2, "one record per run");
-    for line in recs.lines() {
-        let doc = Json::parse(line).expect("ledger line is valid JSON");
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("ledger/v1"));
-        assert_eq!(doc.get("cmd").and_then(Json::as_str), Some("run"));
-        assert_eq!(doc.get("target").and_then(Json::as_str), Some("advect"));
-        let exit = doc.get("exit").expect("exit block");
-        assert_eq!(exit.get("class").and_then(Json::as_str), Some("ok"));
-    }
-
-    let stats = run_ok(
-        wfc()
-            .args(["ledger", "--stats", "--json"])
-            .env("WF_LEDGER", &ledger),
-    );
-    let doc = parse_stdout(&stats);
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("ledger-stats/v1")
-    );
-    assert_eq!(doc.get("records").and_then(Json::as_i128), Some(2));
-    let by_cmd = doc.get("by_cmd").expect("by_cmd");
-    assert_eq!(by_cmd.get("run").and_then(Json::as_i128), Some(2));
-    let by_exit = doc.get("by_exit").expect("by_exit");
-    assert_eq!(by_exit.get("ok").and_then(Json::as_i128), Some(2));
-    assert!(
-        doc.get("simplex_cells")
-            .and_then(Json::as_i128)
-            .unwrap_or(0)
-            > 0,
-        "ledger lost the solver-work counters"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A ledger that cannot be interpreted is a hard usage error, not a
-/// silently dropped record.
+/// A malformed instrumentation knob is a hard usage error, not a
+/// silently ignored setting.
 #[test]
 fn malformed_instrumentation_env_exits_2() {
-    for (var, val) in [
-        ("WF_LEDGER", "  "),
-        ("WF_TRACE_STREAM", ""),
-        ("WF_OBS_LIMIT", "lots"),
-    ] {
+    for (var, val) in [("WF_TRACE_STREAM", ""), ("WF_OBS_LIMIT", "lots")] {
         let out = wfc()
             .args(["run", "advect"])
             .env(var, val)
@@ -145,12 +88,6 @@ fn malformed_instrumentation_env_exits_2() {
             "{var}={val:?} should be rejected with exit 2"
         );
     }
-    // `wfc ledger` without a ledger has nothing to read.
-    let out = wfc()
-        .args(["ledger", "--stats"])
-        .output()
-        .expect("spawn wfc");
-    assert_eq!(out.status.code(), Some(2));
 }
 
 /// The profiler's two invariants on a live catalog benchmark: pool-aware

@@ -465,9 +465,10 @@ fn spill_write_once(dir: &Path, key: &Fingerprint, t: &Transformed) -> std::io::
 /// parse or decode (torn by a crash predating atomic writes, truncated
 /// by a full disk, or hand-edited) is renamed aside without retrying —
 /// corruption is not transient — and reported as
-/// [`SpillOutcome::Quarantined`]; if a concurrent process (another
-/// bench shard's amortized prune) deletes the file before the rename,
-/// the lookup is a clean [`SpillOutcome::Miss`] instead.
+/// [`SpillOutcome::Quarantined`]; if a concurrent process (the amortized
+/// prune of another process sharing `WF_CACHE_DIR`) deletes the file
+/// before the rename, the lookup is a clean [`SpillOutcome::Miss`]
+/// instead.
 #[must_use]
 pub fn spill_read(dir: &Path, key: &Fingerprint) -> SpillOutcome {
     let path = dir.join(format!("{}.json", key.file_stem()));
@@ -504,10 +505,10 @@ pub fn spill_read(dir: &Path, key: &Fingerprint) -> SpillOutcome {
 
 /// Move a corrupt entry aside (best-effort; delete if even the rename
 /// fails) so the decode cost is paid once. If the file is already gone
-/// when we try — a concurrent shard's prune or quarantine won the race
-/// between our read and the rename — the entry simply no longer exists:
-/// that is a clean [`SpillOutcome::Miss`], not a quarantine, exactly as
-/// if the prune had run a moment earlier.
+/// when we try — the prune or quarantine of another process sharing
+/// `WF_CACHE_DIR` won the race between our read and the rename — the
+/// entry simply no longer exists: that is a clean [`SpillOutcome::Miss`],
+/// not a quarantine, exactly as if the prune had run a moment earlier.
 fn quarantine_corrupt(path: &Path) -> SpillOutcome {
     let aside = path.with_extension("json.quarantined");
     match std::fs::rename(path, &aside) {
@@ -1246,7 +1247,7 @@ mod tests {
         let _gate = fault_gate();
         let dir = std::env::temp_dir().join(format!("wf-cache-prace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // An entry another shard just validated…
+        // An entry another process sharing `WF_CACHE_DIR` just validated…
         let k = key(12);
         spill_write(&dir, &k, &sample_transformed(12)).unwrap();
         // …then its amortized prune deletes before our read gets there.

@@ -56,9 +56,6 @@
 //! * [`profile`] — folds the span forest into per-name
 //!   inclusive/exclusive time and a pool-aware fork/join critical path
 //!   (`profile/v1`, `wfc profile`).
-//! * [`ledger`] — the `WF_LEDGER` JSONL run ledger: one atomic
-//!   crash-safe provenance record per `wfc` invocation (`ledger/v1`,
-//!   `wfc ledger`).
 //!
 //! Everything is deterministic: test case generation is seeded by hashing
 //! the test name, so failures reproduce across runs and machines without a
@@ -72,7 +69,6 @@ pub mod error;
 pub mod fault;
 pub mod hash;
 pub mod json;
-pub mod ledger;
 pub mod obs;
 pub mod pool;
 pub mod profile;

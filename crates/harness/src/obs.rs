@@ -627,9 +627,9 @@ impl Histogram {
     /// A quantile rendered for reports: `null` for an empty histogram
     /// (there is no rank to estimate), the bucket's upper bound when
     /// every observation sits in a single bucket (interpolating inside
-    /// one bucket invents sub-bucket precision that merging shard
-    /// histograms cannot reproduce), otherwise the interpolated
-    /// estimate rounded to 3 decimals so the rendering is stable.
+    /// one bucket invents sub-bucket precision the counts do not carry),
+    /// otherwise the interpolated estimate rounded to 3 decimals so the
+    /// rendering is stable.
     #[must_use]
     pub fn quantile_json(&self, q: f64) -> Json {
         if self.count == 0 {
@@ -670,45 +670,6 @@ impl Histogram {
             ("p99", self.quantile_json(0.99)),
             ("buckets", Json::Arr(buckets)),
         ])
-    }
-
-    /// Parse a histogram back from its [`to_json`](Histogram::to_json)
-    /// form. Report merging must sum raw bucket counts — quantiles of a
-    /// union cannot be derived from per-shard quantiles — so this is
-    /// the inverse the merge layer round-trips through. Returns `None`
-    /// on shape mismatch, an unknown bucket bound, or bucket counts
-    /// that do not sum to `count`.
-    #[must_use]
-    pub fn from_json(doc: &Json) -> Option<Histogram> {
-        let as_u64 = |j: &Json| j.as_i128().and_then(|v| u64::try_from(v).ok());
-        let mut h = Histogram {
-            count: as_u64(doc.get("count")?)?,
-            sum: as_u64(doc.get("sum")?)?,
-            ..Histogram::default()
-        };
-        for bucket in doc.get("buckets")?.as_arr()? {
-            let n = as_u64(bucket.get("n")?)?;
-            let idx = match bucket.get("le")? {
-                Json::Str(s) if s == "inf" => HISTOGRAM_BOUNDS.len(),
-                le => HISTOGRAM_BOUNDS.binary_search(&as_u64(le)?).ok()?,
-            };
-            h.counts[idx] = h.counts[idx].checked_add(n)?;
-        }
-        if h.counts.iter().sum::<u64>() != h.count {
-            return None;
-        }
-        Some(h)
-    }
-
-    /// Fold another histogram's raw bucket counts into this one (shard
-    /// report merging; quantiles are then recomputed from the merged
-    /// buckets, never averaged across shards).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 }
 
@@ -1043,59 +1004,6 @@ mod tests {
         assert!(p50.is_finite() && p50 <= 1.0, "p50 {p50} in first bucket");
         let p99 = h.to_json().get("p99").unwrap().as_f64().unwrap();
         assert!(p99 > 512.0, "p99 {p99} lands in the 1000s bucket");
-    }
-
-    #[test]
-    fn histogram_json_round_trip_and_merge() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let mut whole = Histogram::default();
-        for v in [0, 1, 3, 9, 4096, 70_000] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [2, 9, 2_000_000, u64::MAX / 2] {
-            b.record(v);
-            whole.record(v);
-        }
-        let ra = Histogram::from_json(&a.to_json()).expect("round-trip a");
-        assert_eq!(ra, a);
-        let mut merged = ra;
-        merged.merge(&Histogram::from_json(&b.to_json()).expect("round-trip b"));
-        // Merging raw bucket counts is exactly observing the union.
-        assert_eq!(merged, whole);
-        assert_eq!(merged.to_json().render(), whole.to_json().render());
-    }
-
-    #[test]
-    fn histogram_from_json_rejects_malformed() {
-        assert!(Histogram::from_json(&Json::Null).is_none());
-        assert!(Histogram::from_json(&Json::obj([("count", Json::from(1u64))])).is_none());
-        // Bucket counts that don't sum to `count`.
-        let mut h = Histogram::default();
-        h.record(4);
-        let mut doc = h.to_json();
-        if let Json::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "count" {
-                    *v = Json::from(7u64);
-                }
-            }
-        }
-        assert!(Histogram::from_json(&doc).is_none());
-        // Unknown bucket bound.
-        let bad = Json::obj([
-            ("count", Json::from(1u64)),
-            ("sum", Json::from(3u64)),
-            (
-                "buckets",
-                Json::Arr(vec![Json::obj([
-                    ("le", Json::from(3u64)),
-                    ("n", Json::from(1u64)),
-                ])]),
-            ),
-        ]);
-        assert!(Histogram::from_json(&bad).is_none());
     }
 
     #[test]

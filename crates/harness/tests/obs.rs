@@ -151,29 +151,6 @@ fn counters_and_deltas() {
 }
 
 #[test]
-fn ledger_counts_oversize_records() {
-    exclusive(|| {
-        obs::set_enabled(obs::METRICS);
-        let dir = std::env::temp_dir().join(format!("wf-obs-ledger-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ledger.jsonl");
-        use wf_harness::json::Json;
-        let small = Json::obj([("cmd", Json::str("run"))]);
-        wf_harness::ledger::append(&path, &small).unwrap();
-        assert_eq!(obs::metrics().counter("ledger.oversize"), 0);
-        let blob = "y".repeat(wf_harness::ledger::APPEND_ATOMIC_BYTES + 1);
-        let big = Json::obj([("cmd", Json::str("run")), ("blob", Json::str(blob))]);
-        wf_harness::ledger::append(&path, &big).unwrap();
-        assert_eq!(obs::metrics().counter("ledger.oversize"), 1);
-        // Counted, not dropped: both records read back.
-        let (records, skipped) = wf_harness::ledger::read_all(&path).unwrap();
-        assert_eq!((records.len(), skipped), (2, 0));
-        let _ = std::fs::remove_dir_all(&dir);
-    });
-}
-
-#[test]
 fn disabled_mode_records_nothing() {
     exclusive(|| {
         obs::set_enabled(0);
